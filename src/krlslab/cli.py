@@ -100,6 +100,8 @@ def _read_points(args) -> np.ndarray:
                     values.append([float(tok) for tok in record])
     except ValueError as exc:
         raise ContractError(f"points must be numeric: {exc}") from exc
+    if not values:
+        raise ContractError(f"points file {args.points_file} holds no points")
     arr = np.asarray(values, dtype=float)
     return arr[:, 0] if arr.shape[1] == 1 else arr
 

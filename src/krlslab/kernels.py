@@ -16,8 +16,6 @@ from .exceptions import ContractError, DomainError, EmptyInputError
 
 FAMILIES = ("gaussian", "laplacian", "brownian", "polynomial")
 
-_MIRROR_BLOCK = 1024
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -149,26 +147,21 @@ def _check_domain(spec: KernelSpec, pts: np.ndarray):
             )
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances, clipped at zero; exactly symmetric when a is b."""
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    sq -= 2.0 * (a @ b.T)
+    return np.maximum(sq, 0.0, out=sq)
+
+
 def _pairwise(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if spec.family == "gaussian":
-        sq = (
-            (a * a).sum(axis=1)[:, None]
-            - 2.0 * (a @ b.T)
-            + (b * b).sum(axis=1)[None, :]
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * spec.bandwidth**2))
+        return np.exp(-_sq_dist(a, b) / (2.0 * spec.bandwidth**2))
     if spec.family == "laplacian":
         if a.shape[1] == 1:
             dist = np.abs(a[:, 0][:, None] - b[:, 0][None, :])
         else:
-            sq = (
-                (a * a).sum(axis=1)[:, None]
-                - 2.0 * (a @ b.T)
-                + (b * b).sum(axis=1)[None, :]
-            )
-            np.maximum(sq, 0.0, out=sq)
-            dist = np.sqrt(sq)
+            dist = np.sqrt(_sq_dist(a, b))
         return np.exp(-dist / spec.bandwidth)
     if spec.family == "brownian":
         return np.minimum(a[:, 0][:, None], b[:, 0][None, :])
@@ -186,29 +179,15 @@ def eval_kernel(spec: KernelSpec, x, z):
     return float(_pairwise(spec, a, b)[0, 0])
 
 
-def _mirror_upper(k: np.ndarray):
-    """Copy the upper triangle onto the lower, blockwise to bound temporaries."""
-    n = k.shape[0]
-    for i0 in range(0, n, _MIRROR_BLOCK):
-        i1 = min(i0 + _MIRROR_BLOCK, n)
-        if i0 > 0:
-            k[i0:i1, :i0] = k[:i0, i0:i1].T
-        blk = k[i0:i1, i0:i1]
-        low = np.tril_indices(i1 - i0, -1)
-        blk[low] = blk.T[low]
-
-
 def gram(spec: KernelSpec, x) -> np.ndarray:
     """Gram matrix K[i, j] = K(x_i, x_j).
 
-    The upper triangle is computed and mirrored, so the result is symmetric
-    to exact equality.
+    Symmetric to exact equality by formula: numpy forms x @ x.T as an
+    exactly symmetric product, and every other step is symmetric in (i, j).
     """
     pts = _as_points(x, spec.dim)
     _check_domain(spec, pts)
-    k = _pairwise(spec, pts, pts)
-    _mirror_upper(k)
-    return k
+    return _pairwise(spec, pts, pts)
 
 
 def cross_gram(spec: KernelSpec, x, z) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Thin wrappers over scipy that pin down the behaviors the rest of the
 package relies on: eigendecompositions come back sorted descending,
-shifted SPD solves retry once with a fixed-size jitter before giving up,
-and pseudo-inverse solves truncate at a relative eigenvalue tolerance.
+shifted SPD solves factor one copy in place and retry once with a
+fixed-size jitter before giving up, and pseudo-inverse solves truncate at a
+relative eigenvalue tolerance. Gram-based fits, symmetric by construction,
+skip the symmetry check through the private ``_spd_solve``.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ def spd_solve(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    a : symmetric positive semidefinite matrix
+    a : symmetric positive semidefinite matrix, left unchanged
     shift : nonnegative diagonal shift
-    b : right-hand side, vector or matrix
+    b : finite right-hand side, vector or matrix
 
     Raises
     ------
@@ -66,36 +68,44 @@ def spd_solve(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
         diagonal jitter of 1e-12 * trace(a) / n. The jitter used is attached
         to the exception.
     """
-    a = _require_symmetric(a, "spd_solve")
+    return _spd_solve(_require_symmetric(a, "spd_solve"), shift, b)
+
+
+def _spd_solve(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
+    """spd_solve for a float matrix that is symmetric by construction."""
     if shift < 0:
         raise ContractError("shift must be nonnegative")
     b = np.asarray(b, dtype=float)
     if b.shape[0] != a.shape[0]:
         raise ContractError("right-hand side length does not match matrix")
-    n = a.shape[0]
-    jitter = JITTER_SCALE * float(np.trace(a)) / n
-    m = a + shift * np.eye(n)
-    b_norm = np.linalg.norm(b)
+    if not np.all(np.isfinite(b)):
+        raise ContractError("right-hand side must be finite")
+    jitter = JITTER_SCALE * float(np.trace(a)) / a.shape[0]
+    for diag in (shift, shift + jitter):
+        try:
+            return _cholesky_solve(a, diag, b)
+        except np.linalg.LinAlgError as exc:
+            error = exc
+    raise IllConditionedError(
+        f"shifted solve failed even with diagonal jitter {jitter:.3e}: {error}",
+        jitter=jitter,
+    ) from error
 
-    def attempt(mat):
-        factor = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
-        x = scipy.linalg.cho_solve(factor, b, check_finite=False)
-        residual = np.linalg.norm(mat @ x - b)
-        if residual > RESIDUAL_RTOL * max(b_norm, np.finfo(float).tiny):
-            raise np.linalg.LinAlgError("residual above tolerance")
-        return x
 
-    try:
-        return attempt(m)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        pass
-    try:
-        return attempt(m + jitter * np.eye(n))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise IllConditionedError(
-            f"shifted solve failed even with diagonal jitter {jitter:.3e}: {exc}",
-            jitter=jitter,
-        ) from exc
+def _cholesky_solve(a: np.ndarray, diag: float, b: np.ndarray) -> np.ndarray:
+    """One Cholesky solve of (a + diag * I) x = b, leaving a unchanged.
+
+    Raises LinAlgError when factorization fails or when the residual is not
+    within RESIDUAL_RTOL * |b|, a NaN residual included.
+    """
+    m = a.copy().T  # Fortran-ordered, so LAPACK factors it without a copy
+    m.flat[:: a.shape[0] + 1] += diag
+    c = scipy.linalg.cho_factor(m, lower=True, overwrite_a=True, check_finite=False)
+    x = scipy.linalg.cho_solve(c, b, check_finite=False)
+    residual = np.linalg.norm(a @ x + diag * x - b)
+    if not residual <= RESIDUAL_RTOL * max(np.linalg.norm(b), np.finfo(float).tiny):
+        raise np.linalg.LinAlgError("residual above tolerance")
+    return x
 
 
 def pinv_solve(a: np.ndarray, b: np.ndarray, rel_tol: float = PINV_RTOL) -> np.ndarray:

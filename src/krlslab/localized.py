@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, partition as partition_mod
-from .exceptions import ContractError, EmptyInputError
+from .exceptions import ContractError
 from .kernels import KernelSpec
-from .krls import KrlsModel, fit_krls
+from .krls import KrlsModel, _as_labels, fit_krls
 from .nystrom import NystromModel, fit_nystrom
 from .partition import CellStats, Partition
 
@@ -190,12 +190,10 @@ def fit_distributed_average(
     Chunk sizes differ by at most one when m does not divide n. Requires
     m <= n so every chunk is nonempty.
     """
-    y = np.asarray(y, dtype=float)
+    y = _as_labels(y)
     pts = kernels._as_points(x, spec.dim)
     n = pts.shape[0]
-    if n == 0:
-        raise EmptyInputError("need at least one training point")
-    if y.shape != (n,):
+    if y.shape[0] != n:
         raise ContractError("labels must be a flat array matching the inputs")
     if not 1 <= int(m) <= n:
         raise ContractError(f"chunk count m={m} must satisfy 1 <= m <= n={n}")

@@ -6,8 +6,9 @@ solve the explicit normal equations
 
     (K_nl^T K_nl + n * lam * K_ll) alpha = K_nl^T y
 
-through an eigenvalue-truncated pseudo-inverse, so rank-deficient landmark
-sets (duplicate coordinates, l near the numerical rank) stay well defined.
+by Cholesky, falling back to an eigenvalue-truncated pseudo-inverse when
+factorization or its residual check fails, so rank-deficient landmark sets
+(duplicate coordinates, l near the numerical rank) stay well defined.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from . import kernels, linalg
 from .exceptions import ContractError, EmptyInputError
 from .kernels import KernelSpec
+from .krls import _as_labels
 
 
 @dataclass(frozen=True)
@@ -68,11 +70,7 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
     """
     if not lam > 0:
         raise ContractError("lam must be positive")
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ContractError("labels must be a flat array")
-    if y.shape[0] == 0:
-        raise EmptyInputError("need at least one training point")
+    y = _as_labels(y)
     pts = kernels._as_points(x, spec.dim)
     n = pts.shape[0]
     if n != y.shape[0]:
@@ -81,10 +79,13 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
     landmarks = pts[idx]
     k_nl = kernels.cross_gram(spec, pts, landmarks)
     k_ll = kernels.gram(spec, landmarks)
+    # Exactly symmetric: numpy forms k_nl.T @ k_nl as a symmetric product.
     b = k_nl.T @ k_nl + n * lam * k_ll
-    # The product can pick up asymmetry at machine precision; mirror it away.
-    b = 0.5 * (b + b.T)
-    alpha = linalg.pinv_solve(b, k_nl.T @ y)
+    rhs = k_nl.T @ y
+    try:
+        alpha = linalg._cholesky_solve(b, 0.0, rhs)
+    except np.linalg.LinAlgError:
+        alpha = linalg.pinv_solve(b, rhs)
     return NystromModel(
         landmarks=landmarks,
         landmark_indices=idx,

@@ -85,6 +85,10 @@ def _as_points(partition: Partition, x) -> tuple[np.ndarray, bool]:
         if arr is None:
             raise ContractError("scalar point in a multi-dimensional partition")
     elif arr.ndim == 1:
+        if d > 1 and arr.shape[0] != d:
+            raise ContractError(
+                f"cannot interpret shape {arr.shape} as points in {d} dims"
+            )
         arr = arr.reshape(-1, 1) if d == 1 else arr.reshape(1, d)
     if arr.shape[1] != d:
         raise ContractError(f"points have {arr.shape[1]} coordinates, expected {d}")
@@ -95,10 +99,13 @@ def assign(partition: Partition, x):
     """Map points to cell indices.
 
     Grid cells are indexed in C order over the per-axis indices. Points
-    outside the box raise DomainError. Voronoi assignment is nearest center
-    in Euclidean distance, lowest index on ties.
+    outside the box raise DomainError, as do non-finite points under either
+    scheme. Voronoi assignment is nearest center in Euclidean distance,
+    lowest index on ties.
     """
     pts, scalar = _as_points(partition, x)
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("points must be finite")
     if partition.scheme == "grid":
         idx = np.zeros(pts.shape[0], dtype=int)
         for j, ((lo, hi), k) in enumerate(

@@ -130,6 +130,21 @@ def test_predict_points_file_multidim(tmp_path, capsys):
     np.testing.assert_array_equal(got, batch)
 
 
+def test_predict_empty_points_file_exits_one(tmp_path, capsys):
+    from krlslab import brownian, fit_krls
+
+    model = fit_krls([0.2, 0.8], [1.0, 2.0], 1e-2, brownian())
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(serialize.model_to_dict(model)))
+    pts = tmp_path / "empty.csv"
+    pts.write_text("")
+    code, out, err = _run(
+        capsys, "predict", "--model", str(model_path), "--points-file", str(pts)
+    )
+    assert code == 1 and out == ""
+    assert "holds no points" in err
+
+
 def test_experiment_rate_writes_report(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     _write_config(cfg_path)

@@ -91,12 +91,23 @@ def test_gram_exact_symmetry_and_psd(spec):
     assert w.min() >= -psd_slack(k)
 
 
-def test_gram_symmetry_across_mirror_blocks():
-    # n larger than the internal mirror block exercises the off-diagonal copy
+def test_gram_exact_symmetry_at_n1500():
+    # gram does no mirror pass: every family must be symmetric by formula,
+    # including the squared-distance and inner-product paths in d > 1
     rng = np.random.default_rng(5)
-    x = rng.uniform(0, 1, 1500)
-    k = gram(gaussian(0.25), x)
-    np.testing.assert_array_equal(k, k.T)
+    square = ((0.0, 1.0), (0.0, 1.0))
+    specs = ALL_SPECS + [
+        gaussian(0.25),
+        gaussian(0.25, square),
+        laplacian(0.5, square),
+        polynomial(2, 0.0, square),
+        polynomial(3, 1.0, square),
+    ]
+    for spec in specs:
+        lo, hi = spec.domain[0]
+        x = rng.uniform(lo, hi, (1500, spec.dim))
+        k = gram(spec, x)
+        np.testing.assert_array_equal(k, k.T, err_msg=f"{spec}")
 
 
 def test_gram_matches_pointwise_evaluation():

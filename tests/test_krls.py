@@ -9,9 +9,12 @@ from krlslab import (
     ContractError,
     EmptyInputError,
     brownian,
+    cross_gram,
     fit_krls,
     gaussian,
     gram,
+    kernels,
+    krls,
 )
 
 
@@ -156,3 +159,55 @@ def test_predict_shapes():
     assert isinstance(model.predict(0.5), float)
     out = model.predict(np.array([0.1, 0.5, 0.9]))
     assert out.shape == (3,)
+
+
+def test_non_finite_labels_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ContractError, match="finite"):
+            fit_krls([0.1, 0.5, 0.9], [1.0, bad, 0.0], 1e-2, brownian())
+
+
+def test_fit_leaves_inputs_and_gram_unchanged(monkeypatch):
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0, 1, (50, 2))
+    y = rng.standard_normal(50)
+    x_kept, y_kept = x.copy(), y.copy()
+    spec = gaussian(0.4, ((0.0, 1.0), (0.0, 1.0)))
+    built = []
+    real_gram = kernels.gram
+
+    def recording_gram(spec, pts):
+        built.append(real_gram(spec, pts))
+        return built[-1]
+
+    monkeypatch.setattr(kernels, "gram", recording_gram)
+    fit_krls(x, y, 1e-2, spec)
+    np.testing.assert_array_equal(x, x_kept)
+    np.testing.assert_array_equal(y, y_kept)
+    # the solver factors its own copy; the Gram it was handed is untouched
+    np.testing.assert_array_equal(built[0], real_gram(spec, x))
+
+
+def test_blocked_predict_matches_one_shot(monkeypatch):
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0, 1, 40)
+    model = fit_krls(x, rng.standard_normal(40), 1e-3, gaussian(0.3))
+    xt = rng.uniform(0, 1, 100)
+    expected = cross_gram(model.kernel, xt, model.inputs) @ model.alpha
+    # 40 * 30 entries per block: 30 rows, so 100 points take 4 blocks
+    monkeypatch.setattr(krls, "_PREDICT_BLOCK_ENTRIES", 40 * 30)
+    blocks = []
+    real_cross_gram = kernels.cross_gram
+
+    def counting_cross_gram(spec, a, b):
+        blocks.append(len(a))
+        return real_cross_gram(spec, a, b)
+
+    monkeypatch.setattr(kernels, "cross_gram", counting_cross_gram)
+    got = model.predict(xt)
+    assert blocks == [30, 30, 30, 10]
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    assert isinstance(model.predict(0.5), float)
+    assert model.predict(0.5) == float(model.predict(np.array([0.5]))[0])
+    with pytest.raises(EmptyInputError):
+        model.predict(np.array([]))

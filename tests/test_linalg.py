@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from krlslab import ContractError, IllConditionedError, eigh, pinv_solve, spd_solve
+from krlslab import (
+    ContractError,
+    IllConditionedError,
+    eigh,
+    linalg,
+    pinv_solve,
+    spd_solve,
+)
 
 
 def _random_symmetric(rng, n):
@@ -111,6 +118,32 @@ def test_spd_solve_rejects_negative_shift_and_asymmetry():
         spd_solve(np.eye(2), -1.0, np.ones(2))
     with pytest.raises(ContractError):
         spd_solve(np.array([[1.0, 0.2], [0.1, 1.0]]), 1.0, np.ones(2))
+
+
+def test_spd_solve_rejects_non_finite_rhs():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ContractError, match="finite"):
+            spd_solve(np.eye(3), 0.0, np.array([1.0, bad, 0.0]))
+
+
+def test_cholesky_attempt_fails_on_nan_residual():
+    # the factorization succeeds, but inf - inf makes the residual NaN
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg._cholesky_solve(np.eye(3), 0.0, np.array([1.0, np.inf, 0.0]))
+
+
+def test_spd_solve_leaves_matrix_unchanged():
+    rng = np.random.default_rng(6)
+    a = _random_spd(rng, 30)
+    kept = a.copy()
+    spd_solve(a, 0.5, rng.standard_normal(30))
+    np.testing.assert_array_equal(a, kept)
+    # rank-1 with zero shift: the first attempt fails, the jitter retry holds
+    v = np.array([1.0, 2.0, 3.0])
+    a = np.outer(v, v)
+    kept = a.copy()
+    spd_solve(a, 0.0, a @ np.ones(3))
+    np.testing.assert_array_equal(a, kept)
 
 
 def test_pinv_identity():

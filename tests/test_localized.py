@@ -187,6 +187,13 @@ def test_distributed_average_chunk_count_bounds():
     assert len(model.models) == 10
 
 
+def test_distributed_average_rejects_non_finite_labels():
+    x, y = _data(12, seed=8)
+    y[5] = np.nan
+    with pytest.raises(ContractError, match="finite"):
+        fit_distributed_average(x, y, 3, 1e-2, gaussian(0.3), 0)
+
+
 def test_cellwise_error_decomposition():
     # grouping the squared errors by cell and reweighting by empirical cell
     # mass reproduces the pooled mean exactly

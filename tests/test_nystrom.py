@@ -12,6 +12,7 @@ from krlslab import (
     gaussian,
     gram,
     cross_gram,
+    linalg,
     polynomial,
     sample_landmarks,
 )
@@ -145,3 +146,31 @@ def test_fit_contract_errors():
         fit_nystrom([0.1, 0.2], [1.0], 1e-2, 1, seed=0, spec=brownian())
     with pytest.raises(ContractError):
         fit_nystrom([0.1, 0.2], [1.0, 2.0], 1e-2, 3, seed=0, spec=brownian())
+
+
+def test_non_finite_labels_rejected():
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ContractError, match="finite"):
+            fit_nystrom(
+                [0.1, 0.5, 0.9], [1.0, bad, 0.0], 1e-2, 2, seed=0, spec=brownian()
+            )
+
+
+def test_pinv_fallback_only_for_rank_deficient_landmarks(monkeypatch):
+    calls = []
+    real_pinv = linalg.pinv_solve
+
+    def counting_pinv(a, b):
+        calls.append(a.shape[0])
+        return real_pinv(a, b)
+
+    monkeypatch.setattr(linalg, "pinv_solve", counting_pinv)
+    rng = np.random.default_rng(14)
+    # distinct landmarks: the Cholesky solve holds
+    x = rng.uniform(0, 1, 200)
+    fit_nystrom(x, rng.standard_normal(200), 1e-3, 40, seed=2, spec=brownian())
+    assert calls == []
+    # duplicated landmarks make the normal equations singular
+    x = np.array([0.2, 0.2, 0.2, 0.5, 0.8, 0.8, 0.35, 0.65])
+    fit_nystrom(x, rng.standard_normal(8), 1e-3, 8, seed=3, spec=brownian())
+    assert calls == [8]

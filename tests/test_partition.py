@@ -68,6 +68,23 @@ def test_outside_domain_rejected():
         assign(part, np.array([0.5, -0.1]))
 
 
+def test_non_finite_points_rejected():
+    voronoi = build_voronoi_partition([[0.2], [0.8]])
+    grid = build_grid_partition((0.0, 1.0), 4)
+    for part in (voronoi, grid):
+        with pytest.raises(DomainError):
+            assign(part, np.array([np.nan, 0.9]))
+        with pytest.raises(DomainError):
+            assign(part, np.inf)
+
+
+def test_flat_input_of_wrong_length_rejected():
+    part = build_voronoi_partition([[0.2, 0.2], [0.8, 0.8]])
+    assert assign(part, np.array([0.7, 0.9])) == 1
+    with pytest.raises(ContractError):
+        assign(part, np.array([0.1, 0.2, 0.3]))
+
+
 def test_degenerate_and_invalid_construction():
     with pytest.raises(ContractError):
         build_grid_partition((1.0, 1.0), 4)
