@@ -102,6 +102,8 @@ def _read_points(args) -> np.ndarray:
         raise ContractError(f"points must be numeric: {exc}") from exc
     if not values:
         raise ContractError(f"points file {args.points_file} holds no points")
+    if len({len(row) for row in values}) > 1:
+        raise ContractError(f"rows of points file {args.points_file} differ in length")
     arr = np.asarray(values, dtype=float)
     return arr[:, 0] if arr.shape[1] == 1 else arr
 
@@ -125,11 +127,7 @@ def _cmd_predict(args) -> int:
 
 
 def _report_exit_code(*reports) -> int:
-    for report in reports:
-        for row in report.rows:
-            if row.warning.startswith("error:"):
-                return 2
-    return 0
+    return 2 if any(row.failed for report in reports for row in report.rows) else 0
 
 
 def _cmd_experiment(args) -> int:
@@ -172,20 +170,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_report(args) -> int:
     report = parse_report(args.path)
-    summary = {
-        "theoretical_exponent": report.theoretical_exponent,
-        "slopes": {
-            est: (None if val is None else {"slope": val[0], "stderr": val[1]})
-            for est, val in report.slopes.items()
-        },
-        "row_count": len(report.rows),
-        "failed_rows": sum(1 for r in report.rows if r.warning.startswith("error:")),
-        "mean_mise": {
-            est: harness.mean_mise_curve(report.rows, est)
-            for est in sorted({r.estimator for r in report.rows})
-        },
-    }
-    _write_json(summary, None)
+    _write_json(harness.report_summary(report), None)
     return _report_exit_code(report)
 
 

@@ -104,6 +104,11 @@ class Row:
     min_cell_count: int | None
     warning: str = ""
 
+    @property
+    def failed(self) -> bool:
+        """True when the fit or its scoring raised; the warning names the type."""
+        return self.warning.startswith("error:")
+
 
 @dataclass(frozen=True)
 class RateReport:
@@ -397,8 +402,28 @@ def _parse_opt_int(text: str):
     return int(text) if text else None
 
 
+def report_summary(report: RateReport) -> dict:
+    """JSON-ready summary: exponent, slopes, row and failure counts, mean MISE.
+
+    ``mean_mise`` maps each estimator to its per-n ``[n, mean MISE]`` curve.
+    """
+    return {
+        "theoretical_exponent": report.theoretical_exponent,
+        "slopes": {
+            est: (None if val is None else {"slope": val[0], "stderr": val[1]})
+            for est, val in report.slopes.items()
+        },
+        "row_count": len(report.rows),
+        "failed_rows": sum(1 for r in report.rows if r.failed),
+        "mean_mise": {
+            est: mean_mise_curve(report.rows, est)
+            for est in sorted({r.estimator for r in report.rows})
+        },
+    }
+
+
 def emit_report(report: RateReport, path, task: SyntheticTask | None = None):
-    """Write rows.csv and summary.json under ``path`` (a directory).
+    """Write rows.csv and summary.json (see :func:`report_summary`) under ``path``.
 
     Overwrites idempotently. When the task is given, its target coefficient
     vectors go to coefficients.json for audit. Rows are sorted by
@@ -426,17 +451,8 @@ def emit_report(report: RateReport, path, task: SyntheticTask | None = None):
                     r.warning,
                 ]
             )
-    summary = {
-        "theoretical_exponent": report.theoretical_exponent,
-        "slopes": {
-            est: (None if val is None else {"slope": val[0], "stderr": val[1]})
-            for est, val in report.slopes.items()
-        },
-        "row_count": len(report.rows),
-        "failed_rows": sum(1 for r in report.rows if r.warning.startswith("error:")),
-    }
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(report_summary(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if task is not None:
         from . import serialize

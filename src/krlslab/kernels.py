@@ -128,10 +128,23 @@ def _as_points(x, dim: int) -> np.ndarray:
     elif arr.ndim != 2:
         raise ContractError(f"points must be at most 2-d, got shape {arr.shape}")
     if arr.shape[1] != dim:
-        raise ContractError(
-            f"points have {arr.shape[1]} coordinates, kernel domain has {dim}"
-        )
+        raise ContractError(f"points have {arr.shape[1]} coordinates, expected {dim}")
     return arr
+
+
+def _as_data(x, y, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce a training pair: (n, d) points and n flat, finite labels, n >= 1."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ContractError("labels must be a flat array")
+    pts = _as_points(x, dim)
+    if pts.shape[0] != y.shape[0]:
+        raise ContractError("inputs and labels disagree in length")
+    if y.shape[0] == 0:
+        raise EmptyInputError("need at least one training point")
+    if not np.all(np.isfinite(y)):
+        raise ContractError("labels must be finite")
+    return pts, y
 
 
 def _check_domain(spec: KernelSpec, pts: np.ndarray):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, linalg
-from .exceptions import ContractError, EmptyInputError
+from .exceptions import ContractError
 from .kernels import KernelSpec
 
 _PREDICT_BLOCK_ENTRIES = 2**24  # cross-Gram entries per predict block: 128 MB
@@ -28,7 +28,7 @@ class KrlsModel:
 
     def predict(self, x):
         """Evaluate the fitted function. Scalar in, float out; array in, array out."""
-        scalar = np.ndim(x) == 0 and self.kernel.dim == 1
+        scalar = np.ndim(x) == 0
         pts = kernels._as_points(x, self.kernel.dim)
         rows = max(1, _PREDICT_BLOCK_ENTRIES // self.inputs.shape[0])
         # One pass at least, so cross_gram rejects empty input.
@@ -54,22 +54,7 @@ def fit_krls(x, y, lam: float, spec: KernelSpec) -> KrlsModel:
     """
     if not lam > 0:
         raise ContractError("lam must be positive")
-    y = _as_labels(y)
-    pts = kernels._as_points(x, spec.dim)
-    if pts.shape[0] != y.shape[0]:
-        raise ContractError("inputs and labels disagree in length")
+    pts, y = kernels._as_data(x, y, spec.dim)
     k = kernels.gram(spec, pts)
     alpha = linalg._spd_solve(k, lam * y.shape[0], y)
     return KrlsModel(inputs=pts, alpha=alpha, lam=float(lam), kernel=spec)
-
-
-def _as_labels(y) -> np.ndarray:
-    """Coerce labels to a nonempty, finite, flat float array."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ContractError("labels must be a flat array")
-    if y.shape[0] == 0:
-        raise EmptyInputError("need at least one training point")
-    if not np.all(np.isfinite(y)):
-        raise ContractError("labels must be finite")
-    return y

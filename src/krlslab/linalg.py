@@ -36,6 +36,8 @@ def _require_symmetric(a: np.ndarray, op: str) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError(f"{op} needs a square matrix, got shape {a.shape}")
     norm = np.linalg.norm(a)
+    if not np.isfinite(norm):
+        raise ContractError(f"{op} needs a finite matrix")
     gap = np.abs(a - a.T).max() if a.size else 0.0
     if gap > SYMMETRY_RTOL * max(norm, np.finfo(float).tiny):
         raise ContractError(

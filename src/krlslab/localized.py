@@ -1,10 +1,12 @@
 """Partition-localized estimators and the distributed-averaging baseline.
 
-A localized fit solves an independent KRLS problem on each cell's data with
-the same regularization strength everywhere; the overall estimator is the
-sum of the local ones, each extended by zero off its own cell, so a point is
-always predicted by exactly the model of the cell it falls in. Empty cells
-contribute the zero function.
+A localized fit solves an independent KRLS or Nystrom problem on each cell's
+data with the same regularization strength everywhere; the overall estimator
+is the sum of the local ones, each extended by zero off its own cell, so a
+point is always predicted by exactly the model of the cell it falls in.
+Empty cells contribute the zero function. Both localized fitters share one
+split/fit/combine loop, ``_fit_cells``, and differ only in the per-cell fit.
+Training pairs are checked once, at the split, before any cell is fit.
 
 The direct-sum view: the localized estimator is global KRLS under the kernel
 K(x, z) = sum_j p_j^{-1} K_j(x, z) 1{x, z in cell j}, which vanishes across
@@ -22,8 +24,8 @@ import numpy as np
 from . import kernels, partition as partition_mod
 from .exceptions import ContractError
 from .kernels import KernelSpec
-from .krls import KrlsModel, _as_labels, fit_krls
-from .nystrom import NystromModel, fit_nystrom
+from .krls import fit_krls
+from .nystrom import fit_nystrom
 from .partition import CellStats, Partition
 
 logger = logging.getLogger(__name__)
@@ -50,13 +52,13 @@ class LocalizedModel:
     cell_stats: CellStats
 
     def predict(self, x):
-        pts, scalar = partition_mod._as_points(self.partition, x)
+        pts = kernels._as_points(x, self.partition.dim)
         labels = partition_mod.assign(self.partition, pts)
         out = np.zeros(pts.shape[0])
         for j in np.unique(labels):
             mask = labels == j
             out[mask] = self.local_models[j].predict(pts[mask])
-        return float(out[0]) if scalar else out
+        return float(out[0]) if np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,30 @@ def _spec_list(specs, m: int) -> list:
     return specs
 
 
-def _tag_cell(exc: Exception, j: int):
-    """Prefix a propagating fit error with the offending cell index."""
-    head = exc.args[0] if exc.args else str(exc)
-    exc.args = (f"cell {j}: {head}",) + tuple(exc.args[1:])
+def _fit_cells(x, y, part: Partition, lam: float, specs, fit_cell) -> LocalizedModel:
+    """Split (x, y) by cell, fit each occupied cell, and zero-extend.
+
+    ``fit_cell(j, x_j, y_j, spec_j)`` returns cell j's model. Empty cells get
+    a zero model plus a logged warning. An error raised by a cell's fit
+    propagates with its message prefixed by ``cell j:``.
+    """
+    stats, cells = partition_mod.split_dataset(part, x, y)
+    spec_list = _spec_list(specs, part.m)
+    local = []
+    for j, ((xj, yj), spec) in enumerate(zip(cells, spec_list)):
+        if xj.shape[0] == 0:
+            logger.warning("cell %d is empty; using the zero model", j)
+            local.append(ZeroModel())
+            continue
+        try:
+            local.append(fit_cell(j, xj, yj, spec))
+        except Exception as exc:
+            head = exc.args[0] if exc.args else str(exc)
+            exc.args = (f"cell {j}: {head}",) + exc.args[1:]
+            raise
+    return LocalizedModel(
+        partition=part, local_models=tuple(local), lam=float(lam), cell_stats=stats
+    )
 
 
 def fit_localized(x, y, part: Partition, lam: float, specs) -> LocalizedModel:
@@ -98,21 +120,8 @@ def fit_localized(x, y, part: Partition, lam: float, specs) -> LocalizedModel:
     1/n_j weighting of the local objective. Empty cells are allowed and get
     a zero model plus a logged warning.
     """
-    stats, cells = partition_mod.split_dataset(part, x, y)
-    spec_list = _spec_list(specs, part.m)
-    local = []
-    for j, (xj, yj) in enumerate(cells):
-        if xj.shape[0] == 0:
-            logger.warning("cell %d is empty; using the zero model", j)
-            local.append(ZeroModel())
-        else:
-            try:
-                local.append(fit_krls(xj, yj, lam, spec_list[j]))
-            except Exception as exc:
-                _tag_cell(exc, j)
-                raise
-    return LocalizedModel(
-        partition=part, local_models=tuple(local), lam=float(lam), cell_stats=stats
+    return _fit_cells(
+        x, y, part, lam, specs, lambda j, xj, yj, spec: fit_krls(xj, yj, lam, spec)
     )
 
 
@@ -134,29 +143,15 @@ def fit_localized_nystrom(
     """
     if not int(l) >= 1:
         raise ContractError("landmark budget l must be at least 1")
-    stats, cells = partition_mod.split_dataset(part, x, y)
-    spec_list = _spec_list(specs, part.m)
-    local = []
-    for j, (xj, yj) in enumerate(cells):
-        nj = xj.shape[0]
-        if nj == 0:
-            logger.warning("cell %d is empty; using the zero model", j)
-            local.append(ZeroModel())
-            continue
-        lj = int(l)
+
+    def fit_cell(j, xj, yj, spec):
+        nj, lj = xj.shape[0], int(l)
         if nj < lj:
             logger.info("cell %d has %d points; capping landmarks at %d", j, nj, nj)
             lj = nj
-        try:
-            local.append(
-                fit_nystrom(xj, yj, lam, lj, cell_seed(seed, j), spec_list[j])
-            )
-        except Exception as exc:
-            _tag_cell(exc, j)
-            raise
-    return LocalizedModel(
-        partition=part, local_models=tuple(local), lam=float(lam), cell_stats=stats
-    )
+        return fit_nystrom(xj, yj, lam, lj, cell_seed(seed, j), spec)
+
+    return _fit_cells(x, y, part, lam, specs, fit_cell)
 
 
 def direct_sum_kernel(part: Partition, specs, weights, x, z) -> float:
@@ -190,17 +185,13 @@ def fit_distributed_average(
     Chunk sizes differ by at most one when m does not divide n. Requires
     m <= n so every chunk is nonempty.
     """
-    y = _as_labels(y)
-    pts = kernels._as_points(x, spec.dim)
+    pts, y = kernels._as_data(x, y, spec.dim)
     n = pts.shape[0]
-    if y.shape[0] != n:
-        raise ContractError("labels must be a flat array matching the inputs")
     if not 1 <= int(m) <= n:
         raise ContractError(f"chunk count m={m} must satisfy 1 <= m <= n={n}")
     perm = np.random.default_rng(seed).permutation(n)
-    models = []
-    for chunk in np.array_split(perm, int(m)):
-        models.append(fit_krls(pts[chunk], y[chunk], lam, spec))
-    return DistributedAverageModel(
-        models=tuple(models), lam=float(lam), kernel=spec, seed=seed
+    models = tuple(
+        fit_krls(pts[chunk], y[chunk], lam, spec)
+        for chunk in np.array_split(perm, int(m))
     )
+    return DistributedAverageModel(models=models, lam=float(lam), kernel=spec, seed=seed)

@@ -20,7 +20,6 @@ import numpy as np
 from . import kernels, linalg
 from .exceptions import ContractError, EmptyInputError
 from .kernels import KernelSpec
-from .krls import _as_labels
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class NystromModel:
     seed: object
 
     def predict(self, x):
-        scalar = np.ndim(x) == 0 and self.kernel.dim == 1
+        scalar = np.ndim(x) == 0
         k = kernels.cross_gram(self.kernel, x, self.landmarks)
         values = k @ self.alpha
         return float(values[0]) if scalar else values
@@ -70,11 +69,8 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
     """
     if not lam > 0:
         raise ContractError("lam must be positive")
-    y = _as_labels(y)
-    pts = kernels._as_points(x, spec.dim)
+    pts, y = kernels._as_data(x, y, spec.dim)
     n = pts.shape[0]
-    if n != y.shape[0]:
-        raise ContractError("inputs and labels disagree in length")
     idx = sample_landmarks(n, l, seed)
     landmarks = pts[idx]
     k_nl = kernels.cross_gram(spec, pts, landmarks)

@@ -3,7 +3,12 @@
 Two schemes: axis-aligned grids over a box (cells are half-open on the
 right, except the last cell per axis which is closed so the box is covered
 exactly) and Voronoi cells around explicit centers (distance ties go to the
-lowest center index).
+lowest center index). A partition holds only tuples, so it is hashable and
+compares by value.
+
+Points and labels are coerced as everywhere else in the package, by
+``kernels._as_points`` and ``kernels._as_data`` against the partition's
+dimension.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .exceptions import ContractError, DomainError, EmptyInputError
 
 
@@ -22,7 +28,7 @@ class Partition:
     scheme: str
     box: tuple = field(default=None)
     cells_per_dim: tuple = field(default=None)
-    centers: np.ndarray = field(default=None)
+    centers: tuple = field(default=None)
 
     def __post_init__(self):
         if self.scheme == "grid":
@@ -43,9 +49,9 @@ class Partition:
             if self.centers is None:
                 raise ContractError("voronoi partition needs centers")
             centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-            if centers.shape[0] < 1:
-                raise ContractError("voronoi partition needs at least one center")
-            object.__setattr__(self, "centers", centers)
+            if centers.ndim != 2 or centers.shape[0] < 1:
+                raise ContractError("voronoi centers must be a nonempty (m, d) array")
+            object.__setattr__(self, "centers", tuple(map(tuple, centers.tolist())))
         else:
             raise ContractError(f"unknown partition scheme {self.scheme!r}")
 
@@ -53,13 +59,13 @@ class Partition:
     def m(self) -> int:
         if self.scheme == "grid":
             return int(np.prod(self.cells_per_dim))
-        return self.centers.shape[0]
+        return len(self.centers)
 
     @property
     def dim(self) -> int:
         if self.scheme == "grid":
             return len(self.box)
-        return self.centers.shape[1]
+        return len(self.centers[0])
 
 
 def build_grid_partition(box, cells_per_dim) -> Partition:
@@ -73,26 +79,7 @@ def build_grid_partition(box, cells_per_dim) -> Partition:
 
 
 def build_voronoi_partition(centers) -> Partition:
-    return Partition(scheme="voronoi", centers=np.asarray(centers, dtype=float))
-
-
-def _as_points(partition: Partition, x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    d = partition.dim
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1) if d == 1 else None
-        if arr is None:
-            raise ContractError("scalar point in a multi-dimensional partition")
-    elif arr.ndim == 1:
-        if d > 1 and arr.shape[0] != d:
-            raise ContractError(
-                f"cannot interpret shape {arr.shape} as points in {d} dims"
-            )
-        arr = arr.reshape(-1, 1) if d == 1 else arr.reshape(1, d)
-    if arr.shape[1] != d:
-        raise ContractError(f"points have {arr.shape[1]} coordinates, expected {d}")
-    return arr, scalar
+    return Partition(scheme="voronoi", centers=centers)
 
 
 def assign(partition: Partition, x):
@@ -100,10 +87,12 @@ def assign(partition: Partition, x):
 
     Grid cells are indexed in C order over the per-axis indices. Points
     outside the box raise DomainError, as do non-finite points under either
-    scheme. Voronoi assignment is nearest center in Euclidean distance,
-    lowest index on ties.
+    scheme; zero points raise EmptyInputError. Voronoi assignment is nearest
+    center in Euclidean distance, lowest index on ties.
     """
-    pts, scalar = _as_points(partition, x)
+    pts = kernels._as_points(x, partition.dim)
+    if pts.shape[0] == 0:
+        raise EmptyInputError("need at least one point to assign")
     if not np.all(np.isfinite(pts)):
         raise DomainError("points must be finite")
     if partition.scheme == "grid":
@@ -118,9 +107,10 @@ def assign(partition: Partition, x):
             np.clip(cell, 0, k - 1, out=cell)
             idx = idx * k + cell
     else:
-        sq = ((pts[:, None, :] - partition.centers[None, :, :]) ** 2).sum(axis=2)
+        centers = np.array(partition.centers)
+        sq = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         idx = np.argmin(sq, axis=1)
-    return int(idx[0]) if scalar else idx
+    return int(idx[0]) if np.ndim(x) == 0 else idx
 
 
 def grid_cell_bounds(partition: Partition, j: int) -> tuple:
@@ -165,16 +155,12 @@ class CellStats:
 def split_dataset(partition: Partition, x, y):
     """Split (x, y) by cell.
 
-    Returns (stats, cells) where cells[j] = (x_j, y_j) holds cell j's rows in
-    their original order. Empty cells get zero-length arrays. Concatenating
-    the index sets in cell order and inverting recovers (x, y) exactly.
+    Labels must be flat and finite, one per point. Returns (stats, cells)
+    where cells[j] = (x_j, y_j) holds cell j's rows in their original order.
+    Empty cells get zero-length arrays. Concatenating the index sets in cell
+    order and inverting recovers (x, y) exactly.
     """
-    pts, _ = _as_points(partition, x)
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != pts.shape[0]:
-        raise ContractError("labels must be a flat array matching the inputs")
-    if pts.shape[0] == 0:
-        raise EmptyInputError("need at least one point to split")
+    pts, y = kernels._as_data(x, y, partition.dim)
     labels = assign(partition, pts)
     n = pts.shape[0]
     m = partition.m

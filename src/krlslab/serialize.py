@@ -58,7 +58,7 @@ def partition_to_dict(part: Partition) -> dict:
             "box": [list(pair) for pair in part.box],
             "cells_per_dim": list(part.cells_per_dim),
         }
-    return {"scheme": "voronoi", "centers": part.centers.tolist()}
+    return {"scheme": "voronoi", "centers": [list(c) for c in part.centers]}
 
 
 def partition_from_dict(data: dict) -> Partition:
@@ -68,7 +68,7 @@ def partition_from_dict(data: dict) -> Partition:
             box=tuple(tuple(pair) for pair in data["box"]),
             cells_per_dim=tuple(data["cells_per_dim"]),
         )
-    return Partition(scheme="voronoi", centers=np.asarray(data["centers"]))
+    return Partition(scheme="voronoi", centers=data["centers"])
 
 
 def task_to_dict(task: SyntheticTask) -> dict:

@@ -145,6 +145,24 @@ def test_predict_empty_points_file_exits_one(tmp_path, capsys):
     assert "holds no points" in err
 
 
+def test_predict_ragged_points_file_exits_one(tmp_path, capsys):
+    from krlslab import fit_krls, gaussian
+
+    model = fit_krls(
+        [[0.2, 0.2], [0.8, 0.8]], [1.0, 2.0], 1e-2,
+        gaussian(0.5, ((0.0, 1.0), (0.0, 1.0))),
+    )
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(serialize.model_to_dict(model)))
+    pts = tmp_path / "ragged.csv"
+    pts.write_text("0.1,0.2\n0.3\n")
+    code, out, err = _run(
+        capsys, "predict", "--model", str(model_path), "--points-file", str(pts)
+    )
+    assert code == 1 and out == ""
+    assert "differ in length" in err
+
+
 def test_experiment_rate_writes_report(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     _write_config(cfg_path)
@@ -162,6 +180,8 @@ def test_experiment_rate_writes_report(tmp_path, capsys):
     assert summary["row_count"] == 4
     assert summary["failed_rows"] == 0
     assert "krls" in summary["mean_mise"]
+    # the report command prints exactly what the experiment wrote
+    assert summary == json.loads((out_dir / "summary.json").read_text())
 
 
 def test_experiment_improved_bound_layout(tmp_path, capsys):

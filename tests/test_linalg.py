@@ -126,6 +126,18 @@ def test_spd_solve_rejects_non_finite_rhs():
             spd_solve(np.eye(3), 0.0, np.array([1.0, bad, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "solver",
+    [eigh, lambda a: pinv_solve(a, np.ones(2)), lambda a: spd_solve(a, 0.0, np.ones(2))],
+    ids=["eigh", "pinv_solve", "spd_solve"],
+)
+def test_non_finite_matrix_rejected(solver, bad):
+    # a NaN asymmetry gap compares False against the tolerance; the norm catches it
+    with pytest.raises(ContractError, match="finite matrix"):
+        solver(np.array([[1.0, bad], [bad, 1.0]]))
+
+
 def test_cholesky_attempt_fails_on_nan_residual():
     # the factorization succeeds, but inf - inf makes the residual NaN
     with pytest.raises(np.linalg.LinAlgError):

@@ -7,6 +7,7 @@ import pytest
 
 from krlslab import (
     ContractError,
+    EmptyInputError,
     ZeroModel,
     brownian,
     build_grid_partition,
@@ -233,3 +234,49 @@ def test_localized_nystrom_budget_validation():
     part = build_grid_partition((0.0, 1.0), 2)
     with pytest.raises(ContractError):
         fit_localized_nystrom(x, y, part, 1e-2, 0, 1, gaussian(0.3))
+
+
+@pytest.mark.parametrize(
+    "fit, patched",
+    [
+        (lambda x, y, part: fit_localized(x, y, part, 1e-2, gaussian(0.3)), "fit_krls"),
+        (
+            lambda x, y, part: fit_localized_nystrom(x, y, part, 1e-2, 4, 0, gaussian(0.3)),
+            "fit_nystrom",
+        ),
+    ],
+    ids=["localized", "localized_nystrom"],
+)
+def test_non_finite_label_rejected_before_any_cell_fit(fit, patched, monkeypatch):
+    import krlslab.localized as localized_mod
+
+    calls = []
+    original = getattr(localized_mod, patched)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(localized_mod, patched, counting)
+    x, y = _data(40, seed=11)
+    part = build_grid_partition((0.0, 1.0), 4)
+    fit(x, y, part)  # the counter sees the clean fit
+    assert len(calls) == 4
+    calls.clear()
+    y[x > 0.75] = np.nan  # labels of the last cell only
+    with pytest.raises(ContractError, match="finite") as err:
+        fit(x, y, part)
+    assert not str(err.value).startswith("cell ")
+    assert calls == []
+
+
+def test_localized_predict_on_zero_points_matches_krls():
+    x, y = _data(20, seed=12)
+    spec = gaussian(0.3)
+    models = (
+        fit_krls(x, y, 1e-2, spec),
+        fit_localized(x, y, build_grid_partition((0.0, 1.0), 3), 1e-2, spec),
+    )
+    for model in models:
+        with pytest.raises(EmptyInputError):
+            model.predict(np.empty((0, 1)))

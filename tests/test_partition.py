@@ -180,3 +180,30 @@ def test_mismatched_labels_rejected():
     part = build_grid_partition((0.0, 1.0), 2)
     with pytest.raises(ContractError):
         split_dataset(part, np.array([0.1, 0.2]), np.array([1.0]))
+
+
+def test_split_rejects_non_finite_labels():
+    part = build_grid_partition((0.0, 1.0), 2)
+    with pytest.raises(ContractError, match="finite"):
+        split_dataset(part, np.array([0.1, 0.9]), np.array([1.0, np.nan]))
+
+
+def test_assign_zero_points_rejected():
+    # both schemes refuse an empty batch, as the kernels do
+    grid = build_grid_partition(((0.0, 1.0), (0.0, 1.0)), (2, 2))
+    voronoi = build_voronoi_partition([[0.2, 0.2], [0.8, 0.8]])
+    for part in (grid, voronoi):
+        with pytest.raises(EmptyInputError):
+            assign(part, np.empty((0, 2)))
+
+
+def test_voronoi_partition_hashable_and_compares_by_value():
+    a = build_voronoi_partition([[0.1, 0.2], [0.7, 0.9]])
+    b = build_voronoi_partition(np.array([[0.1, 0.2], [0.7, 0.9]]))
+    c = build_voronoi_partition([[0.1, 0.2], [0.7, 0.8]])
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert len({a, b, c}) == 2
+    assert (a.m, a.dim) == (2, 2)
+    with pytest.raises(ContractError):
+        build_voronoi_partition(np.zeros((2, 2, 1)))  # would hold unhashable rows
