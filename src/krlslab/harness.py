@@ -43,9 +43,9 @@ CSV_HEADER = "estimator,n,m,l,lambda,rep,mise,fit_seconds,min_cell_count,warning
 class ExperimentConfig:
     """Everything a rate or schedule-comparison run needs.
 
-    schedule_mode "auto" derives lambda, m, l from the task's model
-    parameters; "explicit" takes them from the per-n lists, which must then
-    match the n grid in length.
+    lambda, m and l follow the task's schedules at each n. A per-n list
+    (``lambdas``, ``ms``, ``ls``) overrides its schedule and must match the
+    n grid in length.
     """
 
     task: SyntheticTask
@@ -54,7 +54,6 @@ class ExperimentConfig:
     replications: int
     n_test: int
     master_seed: int
-    schedule_mode: str = "auto"
     lambdas: tuple | None = None
     ms: tuple | None = None
     ls: tuple | None = None
@@ -64,6 +63,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        for name in ("replications", "n_test", "master_seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ContractError(f"unknown estimator {est!r}")
@@ -71,20 +72,21 @@ class ExperimentConfig:
             raise ContractError("need at least one estimator")
         if not self.n_grid:
             raise ContractError("need at least one n")
+        if self.n_grid[0] < 1:
+            raise ContractError("n must be at least 1")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ContractError("n grid must be strictly ascending")
         if self.replications < 1:
             raise ContractError("replications must be at least 1")
         if self.n_test < 1:
             raise ContractError("n_test must be at least 1")
-        if self.schedule_mode not in ("auto", "explicit"):
-            raise ContractError(f"unknown schedule mode {self.schedule_mode!r}")
-        if self.schedule_mode == "explicit":
-            for name, vals in (("lambdas", self.lambdas), ("ms", self.ms), ("ls", self.ls)):
-                if vals is None:
-                    continue
-                if len(vals) != len(self.n_grid):
-                    raise ContractError(f"{name} must match the n grid in length")
+        for name, cast in (("lambdas", float), ("ms", int), ("ls", int)):
+            vals = getattr(self, name)
+            if vals is None:
+                continue
+            if len(vals) != len(self.n_grid):
+                raise ContractError(f"{name} must match the n grid in length")
+            object.__setattr__(self, name, tuple(cast(v) for v in vals))
         if self.experiment not in ("rate", "improved_bound"):
             raise ContractError(f"unknown experiment kind {self.experiment!r}")
 
@@ -141,19 +143,11 @@ def _seed_int(seed_seq) -> int:
 
 
 def schedule_values(config: ExperimentConfig, i: int, r: float | None = None):
-    """(lambda, m, l) for grid position i, honoring the schedule mode."""
-    n = config.n_grid[i]
-    params = config.task.model_params()
-    lam = lambda_schedule(n, params, r=r)
-    m = m_schedule(n, params, r=r)
-    l = l_schedule(n, params, r=r)
-    if config.schedule_mode == "explicit":
-        if config.lambdas is not None:
-            lam = float(config.lambdas[i])
-        if config.ms is not None:
-            m = int(config.ms[i])
-        if config.ls is not None:
-            l = int(config.ls[i])
+    """(lambda, m, l) for grid position i; a per-n list overrides its schedule."""
+    n, params = config.n_grid[i], config.task.model_params()
+    lam = config.lambdas[i] if config.lambdas else lambda_schedule(n, params, r=r)
+    m = config.ms[i] if config.ms else m_schedule(n, params, r=r)
+    l = config.ls[i] if config.ls else l_schedule(n, params, r=r)
     if not lam > 0:
         raise ContractError("scheduled lambda must be positive")
     if m < 1 or l < 1:
@@ -464,7 +458,11 @@ def emit_report(report: RateReport, path, task: SyntheticTask | None = None):
 
 
 def parse_report(path) -> RateReport:
-    """Rebuild a RateReport from a report directory (rows.csv inverse of emit)."""
+    """Rebuild a RateReport from a report directory (rows.csv inverse of emit).
+
+    Slopes are recomputed from the rows; only the theoretical exponent is
+    read from summary.json, when that file exists.
+    """
     out = pathlib.Path(path)
     rows_path = out if out.suffix == ".csv" else out / "rows.csv"
     rows = []
@@ -490,15 +488,9 @@ def parse_report(path) -> RateReport:
                 )
             )
     summary_path = rows_path.parent / "summary.json"
-    slopes = {}
     exponent = None
     if summary_path.exists():
         with open(summary_path) as fh:
-            summary = json.load(fh)
-        exponent = summary.get("theoretical_exponent")
-        for est, val in summary.get("slopes", {}).items():
-            slopes[est] = None if val is None else (val["slope"], val["stderr"])
-    else:
-        estimators = sorted({r.estimator for r in rows})
-        slopes = _slopes(rows, estimators)
+            exponent = json.load(fh).get("theoretical_exponent")
+    slopes = _slopes(rows, sorted({r.estimator for r in rows}))
     return RateReport(rows=tuple(rows), slopes=slopes, theoretical_exponent=exponent)

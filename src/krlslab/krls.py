@@ -28,15 +28,22 @@ class KrlsModel:
 
     def predict(self, x):
         """Evaluate the fitted function. Scalar in, float out; array in, array out."""
-        scalar = np.ndim(x) == 0
-        pts = kernels._as_points(x, self.kernel.dim)
-        rows = max(1, _PREDICT_BLOCK_ENTRIES // self.inputs.shape[0])
-        # One pass at least, so cross_gram rejects empty input.
-        values = np.concatenate([
-            kernels.cross_gram(self.kernel, pts[i : i + rows], self.inputs) @ self.alpha
-            for i in range(0, max(pts.shape[0], 1), rows)
-        ])
-        return float(values[0]) if scalar else values
+        return _kernel_expansion(self.kernel, x, self.inputs, self.alpha)
+
+
+def _kernel_expansion(spec: KernelSpec, x, centers: np.ndarray, alpha: np.ndarray):
+    """sum_j alpha_j K(c_j, x) at x, evaluating the cross-Gram in row blocks.
+
+    Scalar in, float out; array in, array out. Shared by every dual-form model.
+    """
+    pts = kernels._as_points(x, spec.dim)
+    rows = max(1, _PREDICT_BLOCK_ENTRIES // centers.shape[0])
+    # One pass at least, so cross_gram rejects empty input.
+    values = np.concatenate([
+        kernels.cross_gram(spec, pts[i : i + rows], centers) @ alpha
+        for i in range(0, max(pts.shape[0], 1), rows)
+    ])
+    return float(values[0]) if np.ndim(x) == 0 else values
 
 
 def fit_krls(x, y, lam: float, spec: KernelSpec) -> KrlsModel:

@@ -92,8 +92,11 @@ def _fit_cells(x, y, part: Partition, lam: float, specs, fit_cell) -> LocalizedM
 
     ``fit_cell(j, x_j, y_j, spec_j)`` returns cell j's model. Empty cells get
     a zero model plus a logged warning. An error raised by a cell's fit
-    propagates with its message prefixed by ``cell j:``.
+    propagates with its message prefixed by ``cell j:``; ``lam`` is checked
+    first, before the split.
     """
+    if not lam > 0:
+        raise ContractError("lam must be positive")
     stats, cells = partition_mod.split_dataset(part, x, y)
     spec_list = _spec_list(specs, part.m)
     local = []

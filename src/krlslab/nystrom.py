@@ -20,6 +20,7 @@ import numpy as np
 from . import kernels, linalg
 from .exceptions import ContractError, EmptyInputError
 from .kernels import KernelSpec
+from .krls import _kernel_expansion
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,8 @@ class NystromModel:
     seed: object
 
     def predict(self, x):
-        scalar = np.ndim(x) == 0
-        k = kernels.cross_gram(self.kernel, x, self.landmarks)
-        values = k @ self.alpha
-        return float(values[0]) if scalar else values
+        """Evaluate the fitted function. Scalar in, float out; array in, array out."""
+        return _kernel_expansion(self.kernel, x, self.landmarks, self.alpha)
 
 
 def sample_landmarks(n: int, l: int, seed) -> np.ndarray:

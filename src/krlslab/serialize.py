@@ -254,62 +254,23 @@ def model_from_dict(data: dict):
     raise ContractError(f"unknown model type {kind!r}")
 
 
-CONFIG_FIELDS = (
-    "experiment",
-    "task",
-    "estimators",
-    "n_grid",
-    "replications",
-    "schedule_mode",
-    "lambdas",
-    "ms",
-    "ls",
-    "n_test",
-    "master_seed",
-    "output_path",
-)
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "experiment": config.experiment,
-        "task": task_to_dict(config.task),
-        "estimators": list(config.estimators),
-        "n_grid": list(config.n_grid),
-        "replications": config.replications,
-        "schedule_mode": config.schedule_mode,
-        "lambdas": None if config.lambdas is None else list(config.lambdas),
-        "ms": None if config.ms is None else list(config.ms),
-        "ls": None if config.ls is None else list(config.ls),
-        "n_test": config.n_test,
-        "master_seed": config.master_seed,
-        "output_path": config.output_path,
-    }
+    """Every ExperimentConfig field; the task as its record, tuples as lists."""
+    data = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        data[f.name] = list(value) if isinstance(value, tuple) else value
+    data["task"] = task_to_dict(config.task)
+    return data
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Strict parse: every field must be present, even if null."""
-    missing = [key for key in CONFIG_FIELDS if key not in data]
+    """Strict parse: every ExperimentConfig field must be present, even if null."""
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    missing = [key for key in names if key not in data]
     if missing:
         raise ContractError(f"config is missing fields: {', '.join(missing)}")
-    unknown = [key for key in data if key not in CONFIG_FIELDS]
+    unknown = [key for key in data if key not in names]
     if unknown:
         raise ContractError(f"config has unknown fields: {', '.join(unknown)}")
-
-    def opt_tuple(value, cast):
-        return None if value is None else tuple(cast(v) for v in value)
-
-    return ExperimentConfig(
-        task=task_from_dict(data["task"]),
-        estimators=tuple(data["estimators"]),
-        n_grid=tuple(int(n) for n in data["n_grid"]),
-        replications=int(data["replications"]),
-        n_test=int(data["n_test"]),
-        master_seed=int(data["master_seed"]),
-        schedule_mode=data["schedule_mode"],
-        lambdas=opt_tuple(data["lambdas"], float),
-        ms=opt_tuple(data["ms"], int),
-        ls=opt_tuple(data["ls"], int),
-        output_path=data["output_path"],
-        experiment=data["experiment"],
-    )
+    return ExperimentConfig(**{**data, "task": task_from_dict(data["task"])})

@@ -11,7 +11,9 @@ source-condition norm exactly, so the smoothness r of a task is known
 rather than assumed. Piecewise targets rebuild the expansion inside each
 grid cell (origin shifted to the cell, eigenvalues scaled by cell width)
 with a rough exponent on a designated exceptional set of cells; continuity
-across cell boundaries is deliberately not enforced.
+across cell boundaries is deliberately not enforced. Both kinds share one
+construction (``_expansion``), one basis evaluation (``_series``) and one
+source-norm sum (``_source_sum``); a Sobolev target is the width-1 case.
 """
 
 from __future__ import annotations
@@ -38,24 +40,31 @@ def mercer_eigenvalues(k_trunc: int) -> np.ndarray:
     return ((k - 0.5) * np.pi) ** -2.0
 
 
-def _profile(mu: np.ndarray, r: float) -> np.ndarray:
-    """Unnormalized coefficient profile mu_k^{r + 1/2} k^{-slack}."""
-    k = np.arange(1, mu.shape[0] + 1)
-    return mu ** (r + 0.5) * k ** (-COEFF_SLACK)
+def _source_sum(coeffs: np.ndarray, r: float, width: float = 1.0) -> float:
+    """sum_k c_k^2 (w mu_k)^{-2r}: the squared source norm of an expansion."""
+    mu = width * mercer_eigenvalues(coeffs.shape[0])
+    return float(np.sum(coeffs**2 * mu ** (-2.0 * r)))
 
 
-def _source_scale(mu: np.ndarray, r: float, target_sq: float) -> float:
-    """Scale a so that sum (a c_k)^2 mu_k^{-2r} = target_sq for the profile."""
-    raw = _profile(mu, r)
-    total = float(np.sum(raw * raw * mu ** (-2.0 * r)))
-    return math.sqrt(target_sq / total)
+def _expansion(r: float, R: float, k_trunc: int, width: float = 1.0):
+    """Coefficients of smoothness r and source norm R on a cell of width w.
+
+    Returns (c, tail): c_k = a (w mu_k)^{r + 1/2} k^{-slack} for k <= k_trunc,
+    with a chosen so that sum c_k^2 (w mu_k)^{-2r} = R^2, and the sup-norm of
+    the discarded series tail, summed numerically far out.
+    """
+    k = np.arange(1, k_trunc + 1 + _TAIL_TERMS)
+    mu = width * mercer_eigenvalues(k.shape[0])
+    profile = mu ** (r + 0.5) * k ** (-COEFF_SLACK)
+    raw = profile[:k_trunc]
+    scale = math.sqrt(R * R / _source_sum(raw, r, width))
+    return scale * raw, float(math.sqrt(2.0) * scale * np.sum(profile[k_trunc:]))
 
 
-def _tail_sup_bound(r: float, scale: float, k_trunc: int, width: float = 1.0) -> float:
-    """Sup-norm of the discarded series tail, summed numerically far out."""
-    k = np.arange(k_trunc + 1, k_trunc + 1 + _TAIL_TERMS)
-    mu = (width * ((k - 0.5) * np.pi) ** -2.0)
-    return float(math.sqrt(2.0) * scale * np.sum(mu ** (r + 0.5) * k ** (-COEFF_SLACK)))
+def _series(coeffs: np.ndarray, t) -> np.ndarray:
+    """sum_k c_k sqrt(2) sin((k - 1/2) pi t) at local coordinates t."""
+    k = np.arange(1, coeffs.shape[0] + 1)
+    return math.sqrt(2.0) * np.sin(np.outer(t, (k - 0.5) * np.pi)) @ coeffs
 
 
 @dataclass(frozen=True)
@@ -73,14 +82,10 @@ class SobolevTarget:
 
     def source_sum(self) -> float:
         """sum c_k^2 mu_k^{-2r}; equals R^2 by construction."""
-        mu = mercer_eigenvalues(self.k_trunc)
-        return float(np.sum(self.coefficients**2 * mu ** (-2.0 * self.r)))
+        return _source_sum(self.coefficients, self.r)
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=float).reshape(-1)
-        k = np.arange(1, self.k_trunc + 1)
-        basis = math.sqrt(2.0) * np.sin(np.outer(xs, (k - 0.5) * np.pi))
-        return basis @ self.coefficients
+        return _series(self.coefficients, np.asarray(x, dtype=float).reshape(-1))
 
 
 def make_sobolev_target(
@@ -98,10 +103,7 @@ def make_sobolev_target(
         raise ContractError("R must be positive")
     if k_trunc < 1:
         raise ContractError("k_trunc must be at least 1")
-    mu = mercer_eigenvalues(k_trunc)
-    scale = _source_scale(mu, r, R * R)
-    coeffs = scale * _profile(mu, r)
-    tail = _tail_sup_bound(r, scale, k_trunc)
+    coeffs, tail = _expansion(r, R, k_trunc)
     return SobolevTarget(
         r=float(r), R=float(R), coefficients=coeffs, truncation_sup_error=tail
     )
@@ -135,12 +137,9 @@ class PiecewiseTarget:
     def source_sums(self) -> np.ndarray:
         """Per-cell sum c_k^2 (w mu_k)^{-2 r_j}; equals R_j^2 by construction."""
         out = np.empty(self.partition.m)
-        mu = mercer_eigenvalues(self.k_trunc)
         for j, coeffs in enumerate(self.cell_coefficients):
             (lo, hi), = grid_cell_bounds(self.partition, j)
-            local_mu = (hi - lo) * mu
-            rj = self.cell_smoothness(j)
-            out[j] = float(np.sum(coeffs**2 * local_mu ** (-2.0 * rj)))
+            out[j] = _source_sum(coeffs, self.cell_smoothness(j), hi - lo)
         return out
 
     def exceptional_mass(self) -> float:
@@ -156,13 +155,10 @@ class PiecewiseTarget:
         xs = np.asarray(x, dtype=float).reshape(-1)
         labels = partition_mod.assign(self.partition, xs)
         out = np.zeros(xs.shape[0])
-        k = np.arange(1, self.k_trunc + 1)
         for j in np.unique(labels):
             mask = labels == j
             (lo, hi), = grid_cell_bounds(self.partition, int(j))
-            local = (xs[mask] - lo) / (hi - lo)
-            basis = math.sqrt(2.0) * np.sin(np.outer(local, (k - 0.5) * np.pi))
-            out[mask] = basis @ self.cell_coefficients[j]
+            out[mask] = _series(self.cell_coefficients[j], (xs[mask] - lo) / (hi - lo))
         return out
 
 
@@ -189,20 +185,14 @@ def make_piecewise_target(
     for j in exceptional:
         if not 0 <= j < part.m:
             raise ContractError(f"exceptional cell {j} out of range")
-    mu = mercer_eigenvalues(k_trunc)
     coeffs = []
     worst_tail = 0.0
     for j in range(part.m):
         (lo, hi), = grid_cell_bounds(part, j)
-        w = hi - lo
-        rj = r_l if j in exceptional else r_h
-        rr = R_l if j in exceptional else R_h
-        local_mu = w * mu
-        raw = _profile(local_mu, rj)
-        total = float(np.sum(raw * raw * local_mu ** (-2.0 * rj)))
-        scale = math.sqrt(rr * rr / total)
-        coeffs.append(scale * raw)
-        worst_tail = max(worst_tail, _tail_sup_bound(rj, scale, k_trunc, width=w))
+        rj, rr = (r_l, R_l) if j in exceptional else (r_h, R_h)
+        cj, tail = _expansion(rj, rr, k_trunc, hi - lo)
+        coeffs.append(cj)
+        worst_tail = max(worst_tail, tail)
     return PiecewiseTarget(
         r_l=float(r_l),
         r_h=float(r_h),
@@ -255,7 +245,7 @@ class SyntheticTask:
         if isinstance(self.target, SobolevTarget):
             got = self.target.source_sum()
             want = self.target.R**2
-            if got > want * (1 + 1e-10) or abs(got - want) > 1e-10 * want:
+            if abs(got - want) > 1e-10 * want:
                 raise ContractError(
                     f"target source sum {got!r} violates the bound R^2 = {want!r}"
                 )

@@ -74,19 +74,13 @@ def _power(n: int, num: float, den: float) -> float:
 _SNAP = 1e-9
 
 
-def _snap_floor(x: float) -> int:
-    """floor that treats values within a hair of an integer as that integer."""
+def _snap(x: float, rounding) -> int:
+    """``rounding`` (math.floor or math.ceil) that treats values within a hair
+    of an integer as that integer."""
     nearest = round(x)
     if abs(x - nearest) <= _SNAP * max(1.0, abs(x)):
         return int(nearest)
-    return math.floor(x)
-
-
-def _snap_ceil(x: float) -> int:
-    nearest = round(x)
-    if abs(x - nearest) <= _SNAP * max(1.0, abs(x)):
-        return int(nearest)
-    return math.ceil(x)
+    return rounding(x)
 
 
 def lambda_schedule(
@@ -119,7 +113,7 @@ def m_schedule(n: int, params: ModelParams, r: float | None = None) -> int:
     if n < 1:
         raise ContractError("n must be at least 1")
     rr = params.smoothness(r)
-    return max(1, _snap_floor(_power(n, 2 * rr, 2 * rr + 1 + params.gamma)))
+    return max(1, _snap(_power(n, 2 * rr, 2 * rr + 1 + params.gamma), math.floor))
 
 
 def l_schedule(n: int, params: ModelParams, r: float | None = None) -> int:
@@ -128,7 +122,8 @@ def l_schedule(n: int, params: ModelParams, r: float | None = None) -> int:
     if n < 1:
         raise ContractError("n must be at least 1")
     rr = params.smoothness(r)
-    return max(1, _snap_ceil(_power(n, 1 + params.gamma, 2 * rr + 1 + params.gamma)))
+    exact = _power(n, 1 + params.gamma, 2 * rr + 1 + params.gamma)
+    return max(1, _snap(exact, math.ceil))
 
 
 def rate_exponent(params: ModelParams, r: float | None = None) -> float:
@@ -163,9 +158,7 @@ def effective_dimension(
         if not kappa_sq > 0:
             raise ContractError("kappa_sq must be positive")
         scale /= kappa_sq
-    mu = linalg.eigh(k * scale).eigenvalues
-    mu = np.maximum(mu, 0.0)
-    return float(np.sum(mu / (mu + lam)))
+    return effective_dimension_from_spectrum(linalg.eigh(k * scale).eigenvalues, lam)
 
 
 def effective_dimension_from_spectrum(mu, lam: float) -> float:

@@ -193,7 +193,6 @@ def test_smooth_schedule_beats_rough_schedule_on_piecewise_task(announce):
         replications=20,
         n_test=20000,
         master_seed=13,
-        schedule_mode="explicit",
         ms=(16, 16, 16),
         experiment="improved_bound",
     )

@@ -196,7 +196,6 @@ def test_experiment_improved_bound_layout(tmp_path, capsys):
         replications=2,
         n_test=100,
         experiment="improved_bound",
-        schedule_mode="explicit",
         ms=(4, 4),
     )
     out_dir = tmp_path / "cmp"

@@ -60,9 +60,7 @@ def test_config_validation():
     with pytest.raises(ContractError):
         _config(n_test=0)
     with pytest.raises(ContractError):
-        _config(schedule_mode="manual")
-    with pytest.raises(ContractError):
-        _config(schedule_mode="explicit", n_grid=(64, 128), lambdas=(0.1,))
+        _config(n_grid=(64, 128), lambdas=(0.1,))
     with pytest.raises(ContractError):
         _config(experiment="speed")
 
@@ -75,14 +73,37 @@ def test_schedule_values_auto_and_explicit():
     assert m == m_schedule(1024, params)
     assert l == l_schedule(1024, params)
 
-    part = _config(n_grid=(1024,), schedule_mode="explicit", ms=(5,))
+    part = _config(n_grid=(1024,), ms=(5,))
     lam2, m2, l2 = schedule_values(part, 0)
     assert (lam2, l2) == (lam, l)  # untouched entries stay on the schedule
     assert m2 == 5
 
-    bad = _config(n_grid=(1024,), schedule_mode="explicit", lambdas=(0.0,))
+    bad = _config(n_grid=(1024,), lambdas=(0.0,))
     with pytest.raises(ContractError):
         schedule_values(bad, 0)
+
+
+def test_per_n_lists_override_the_schedule():
+    for name in ("lambdas", "ms", "ls"):
+        with pytest.raises(ContractError, match=name):
+            _config(n_grid=(64, 128), **{name: (1,)})
+    cfg = _config(
+        estimators=("localized",),
+        n_grid=(64, 128),
+        replications=np.int64(1),
+        master_seed=np.uint32(2),
+        lambdas=np.array([0.1, 0.2]),
+        ms=[5, 6],
+    )
+    assert (cfg.lambdas, cfg.ms, cfg.ls) == ((0.1, 0.2), (5, 6), None)
+    assert type(cfg.lambdas[0]) is float and type(cfg.master_seed) is int
+    rows = run_rate_experiment(cfg).rows
+    assert [(r.n, r.lam, r.m) for r in rows] == [(64, 0.1, 5), (128, 0.2, 6)]
+
+
+def test_n_grid_starts_at_one():
+    with pytest.raises(ContractError, match="at least 1"):
+        _config(n_grid=(0, 64), lambdas=(0.1, 0.1), ms=(1, 1), ls=(1, 1))
 
 
 def test_row_seeds_distinct_and_stable():
@@ -187,7 +208,6 @@ def test_improved_bound_arms_share_everything_but_lambda():
         n_test=400,
         master_seed=1,
         experiment="improved_bound",
-        schedule_mode="explicit",
         ms=(4, 4),
     )
     rough, smooth = run_improved_bound_experiment(cfg)
@@ -242,7 +262,6 @@ def test_empty_cell_warning_row():
     cfg = _config(
         estimators=("localized",),
         n_grid=(20,),
-        schedule_mode="explicit",
         ms=(50,),
     )
     report = run_rate_experiment(cfg)

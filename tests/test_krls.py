@@ -11,6 +11,7 @@ from krlslab import (
     brownian,
     cross_gram,
     fit_krls,
+    fit_nystrom,
     gaussian,
     gram,
     kernels,
@@ -188,12 +189,20 @@ def test_fit_leaves_inputs_and_gram_unchanged(monkeypatch):
     np.testing.assert_array_equal(built[0], real_gram(spec, x))
 
 
-def test_blocked_predict_matches_one_shot(monkeypatch):
+@pytest.mark.parametrize(
+    "fit, centers",
+    [
+        (lambda x, y: fit_krls(x, y, 1e-3, gaussian(0.3)), "inputs"),
+        (lambda x, y: fit_nystrom(x, y, 1e-3, 40, 0, gaussian(0.3)), "landmarks"),
+    ],
+    ids=["krls", "nystrom"],
+)
+def test_blocked_predict_matches_one_shot(fit, centers, monkeypatch):
     rng = np.random.default_rng(9)
     x = rng.uniform(0, 1, 40)
-    model = fit_krls(x, rng.standard_normal(40), 1e-3, gaussian(0.3))
+    model = fit(x, rng.standard_normal(40))
     xt = rng.uniform(0, 1, 100)
-    expected = cross_gram(model.kernel, xt, model.inputs) @ model.alpha
+    expected = cross_gram(model.kernel, xt, getattr(model, centers)) @ model.alpha
     # 40 * 30 entries per block: 30 rows, so 100 points take 4 blocks
     monkeypatch.setattr(krls, "_PREDICT_BLOCK_ENTRIES", 40 * 30)
     blocks = []

@@ -11,6 +11,7 @@ from krlslab import (
     ZeroModel,
     brownian,
     build_grid_partition,
+    build_voronoi_partition,
     cell_seed,
     direct_sum_kernel,
     eval_kernel,
@@ -20,6 +21,7 @@ from krlslab import (
     fit_localized_nystrom,
     gaussian,
     polynomial,
+    spd_solve,
     split_dataset,
 )
 
@@ -268,6 +270,73 @@ def test_non_finite_label_rejected_before_any_cell_fit(fit, patched, monkeypatch
         fit(x, y, part)
     assert not str(err.value).startswith("cell ")
     assert calls == []
+
+
+@pytest.mark.parametrize("lam", [0.0, -1e-2, np.nan])
+@pytest.mark.parametrize(
+    "fit, patched",
+    [
+        (lambda x, y, part, lam: fit_localized(x, y, part, lam, gaussian(0.3)), "fit_krls"),
+        (
+            lambda x, y, part, lam: fit_localized_nystrom(
+                x, y, part, lam, 4, 0, gaussian(0.3)
+            ),
+            "fit_nystrom",
+        ),
+    ],
+    ids=["localized", "localized_nystrom"],
+)
+def test_bad_lam_rejected_before_any_cell_fit(fit, patched, lam, monkeypatch):
+    import krlslab.localized as localized_mod
+
+    calls = []
+    original = getattr(localized_mod, patched)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(localized_mod, patched, counting)
+    x, y = _data(40, seed=11)
+    part = build_grid_partition((0.0, 1.0), 4)
+    with pytest.raises(ContractError, match="lam must be positive") as err:
+        fit(x, y, part, lam)
+    assert not str(err.value).startswith("cell ")
+    assert calls == []
+    fit(x, y, part, 1e-2)  # the counter sees the clean fit
+    assert len(calls) == 4
+
+
+def _direct_sum_fit_predict(x, y, xt, part, lam, spec):
+    """Global KRLS under the direct-sum kernel with p_j = n_j / n, pairwise."""
+    n = y.shape[0]
+    weights = split_dataset(part, x, y)[0].counts / n
+    k = np.array([[direct_sum_kernel(part, spec, weights, a, b) for b in x] for a in x])
+    alpha = spd_solve(k, lam * n, y)
+    cross = np.array([[direct_sum_kernel(part, spec, weights, t, a) for a in x] for t in xt])
+    return cross @ alpha
+
+
+@pytest.mark.parametrize("scheme", ["grid_1d", "voronoi_2d"])
+def test_localized_equals_global_fit_under_direct_sum_kernel(scheme):
+    # The blocks of (K + lam n I) alpha = y decouple into
+    # (K_j + lam n_j I) alpha_j = p_j y_j, so the two fits predict alike.
+    rng = np.random.default_rng(21)
+    if scheme == "grid_1d":
+        part, spec = build_grid_partition((0.0, 1.0), 4), gaussian(0.3)
+        x, xt = rng.uniform(0, 1, 48), rng.uniform(0, 1, 30)
+    else:
+        box = ((0.0, 1.0), (0.0, 1.0))
+        part = build_voronoi_partition([[0.2, 0.3], [0.7, 0.2], [0.5, 0.8]])
+        spec = gaussian(0.3, box)
+        x, xt = rng.uniform(0, 1, (48, 2)), rng.uniform(0, 1, (30, 2))
+    y = rng.standard_normal(48)
+    assert np.all(split_dataset(part, x, y)[0].counts > 0)
+    local = fit_localized(x, y, part, 1e-2, spec).predict(xt)
+    direct = _direct_sum_fit_predict(x, y, xt, part, 1e-2, spec)
+    # relative to the largest prediction: a pointwise ratio blows up near zero
+    scale = np.abs(direct).max()
+    np.testing.assert_allclose(local, direct, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_localized_predict_on_zero_points_matches_krls():

@@ -141,7 +141,6 @@ def test_config_round_trip():
         replications=2,
         n_test=100,
         master_seed=11,
-        schedule_mode="explicit",
         ms=(4, 4),
         output_path="out",
         experiment="improved_bound",
@@ -151,11 +150,30 @@ def test_config_round_trip():
     assert back.n_grid == config.n_grid
     assert back.ms == config.ms
     assert back.lambdas is None
-    assert back.schedule_mode == "explicit"
     assert back.experiment == "improved_bound"
     assert back.output_path == "out"
     assert back.master_seed == 11
     assert back.task.target.exceptional == frozenset({3})
+
+
+def test_config_record_holds_exactly_the_config_fields():
+    config = ExperimentConfig(
+        task=sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.3)),
+        estimators=("krls",),
+        n_grid=(64,),
+        replications=1,
+        n_test=100,
+        master_seed=0,
+    )
+    record = serialize.config_to_dict(config)
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert sorted(record) == sorted(names)
+    back = serialize.config_from_dict(_json_cycle(record))
+    assert serialize.config_to_dict(back) == record
+    for name in names:
+        partial = {key: val for key, val in record.items() if key != name}
+        with pytest.raises(ContractError, match=f"missing fields: {name}$"):
+            serialize.config_from_dict(partial)
 
 
 def test_target_coefficients_dump():
