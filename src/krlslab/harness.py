@@ -108,7 +108,10 @@ class Row:
 
     @property
     def failed(self) -> bool:
-        """True when the fit or its scoring raised; the warning names the type."""
+        """True when the fit or its scoring raised.
+
+        The warning then reads ``error:<Type>: <message>``.
+        """
         return self.warning.startswith("error:")
 
 
@@ -208,7 +211,7 @@ def _run_units(config: ExperimentConfig, estimators, lam_for):
                     if mcc is not None and mcc < 1:
                         warning = "empty_cell"
                 except Exception as exc:  # keep the grid running; taint this row only
-                    warning = f"error:{type(exc).__name__}"
+                    warning = f"error:{type(exc).__name__}: {exc}"
                 rows.append(
                     Row(
                         estimator=estimator,
@@ -287,8 +290,14 @@ def run_improved_bound_experiment(config: ExperimentConfig):
     the lambda schedule driven by the low smoothness r_l and once by the
     high smoothness r_h. Everything else (partition size, seeds, test
     draws) is shared, so replications pair exactly. The exceptional-mass
-    bound is checked at the largest n before any fitting.
+    bound is checked at the largest n before any fitting. Since each arm
+    sets its own lambda and fits only "localized", a config listing
+    ``lambdas`` or other estimators is rejected.
     """
+    if config.lambdas is not None:
+        raise ContractError("improved-bound runs set lambda per arm; drop lambdas")
+    if config.estimators != ("localized",):
+        raise ContractError('improved-bound runs fit only estimators=("localized",)')
     target = config.task.target
     if not isinstance(target, synth.PiecewiseTarget):
         raise ContractError("improved-bound runs need a piecewise target")

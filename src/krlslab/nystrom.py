@@ -6,9 +6,12 @@ solve the explicit normal equations
 
     (K_nl^T K_nl + n * lam * K_ll) alpha = K_nl^T y
 
-by Cholesky, falling back to an eigenvalue-truncated pseudo-inverse when
-factorization or its residual check fails, so rank-deficient landmark sets
-(duplicate coordinates, l near the numerical rank) stay well defined.
+whose left and right sides are accumulated over row blocks of K_nl of the
+size ``krls`` predicts in, so the n x l cross-Gram is never stored whole.
+They are solved by Cholesky, falling back to an eigenvalue-truncated
+pseudo-inverse when factorization or its residual check fails, so
+rank-deficient landmark sets (duplicate coordinates, l near the numerical
+rank) stay well defined.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, linalg
+from . import kernels, krls, linalg
 from .exceptions import ContractError, EmptyInputError
 from .kernels import KernelSpec
-from .krls import _kernel_expansion
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class NystromModel:
 
     def predict(self, x):
         """Evaluate the fitted function. Scalar in, float out; array in, array out."""
-        return _kernel_expansion(self.kernel, x, self.landmarks, self.alpha)
+        return krls._kernel_expansion(self.kernel, x, self.landmarks, self.alpha)
 
 
 def sample_landmarks(n: int, l: int, seed) -> np.ndarray:
@@ -72,11 +74,14 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
     n = pts.shape[0]
     idx = sample_landmarks(n, l, seed)
     landmarks = pts[idx]
-    k_nl = kernels.cross_gram(spec, pts, landmarks)
-    k_ll = kernels.gram(spec, landmarks)
-    # Exactly symmetric: numpy forms k_nl.T @ k_nl as a symmetric product.
-    b = k_nl.T @ k_nl + n * lam * k_ll
-    rhs = k_nl.T @ y
+    # Exactly symmetric: numpy forms each k.T @ k as a symmetric product.
+    # With one block this is bitwise K_nl.T @ K_nl + n * lam * K_ll.
+    b = n * lam * kernels.gram(spec, landmarks)
+    rhs = np.zeros(l)
+    for rows in krls._row_blocks(n, l):
+        k = kernels.cross_gram(spec, pts[rows], landmarks)
+        b += k.T @ k
+        rhs += k.T @ y[rows]
     try:
         alpha = linalg._cholesky_solve(b, 0.0, rhs)
     except np.linalg.LinAlgError:

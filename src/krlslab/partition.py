@@ -165,7 +165,9 @@ def split_dataset(partition: Partition, x, y):
     n = pts.shape[0]
     m = partition.m
     counts = np.bincount(labels, minlength=m)
-    index_sets = tuple(np.flatnonzero(labels == j) for j in range(m))
+    # A stable sort keeps each cell's indices ascending.
+    order = np.argsort(labels, kind="stable")
+    index_sets = tuple(np.split(order, np.cumsum(counts[:-1])))
     weights = counts / n
     weights[-1] = 1.0 - weights[:-1].sum()
     cells = [(pts[ix], y[ix]) for ix in index_sets]

@@ -14,6 +14,8 @@ with a rough exponent on a designated exceptional set of cells; continuity
 across cell boundaries is deliberately not enforced. Both kinds share one
 construction (``_expansion``), one basis evaluation (``_series``) and one
 source-norm sum (``_source_sum``); a Sobolev target is the width-1 case.
+``_series`` sums the sine series by Clenshaw's recurrence, so evaluating a
+target at N points takes O(N) memory and no sine per term, whatever k_trunc.
 """
 
 from __future__ import annotations
@@ -62,9 +64,26 @@ def _expansion(r: float, R: float, k_trunc: int, width: float = 1.0):
 
 
 def _series(coeffs: np.ndarray, t) -> np.ndarray:
-    """sum_k c_k sqrt(2) sin((k - 1/2) pi t) at local coordinates t."""
-    k = np.arange(1, coeffs.shape[0] + 1)
-    return math.sqrt(2.0) * np.sin(np.outer(t, (k - 0.5) * np.pi)) @ coeffs
+    """sum_k c_k sqrt(2) sin((k - 1/2) pi t) at local coordinates t.
+
+    Clenshaw's recurrence b_k = c_k + 2 cos(pi t) b_{k+1} - b_{k+2}, run from
+    k = K down to 1 in three length-N buffers updated in place, gives the sum
+    as sqrt(2) sin(pi t / 2) (b_1 + b_2): one cos and one sin per point, no
+    N x K matrix and no allocation per term, so O(N) memory whatever K is.
+    """
+    t = np.asarray(t, dtype=float)
+    two_cos = 2.0 * np.cos(np.pi * t)
+    b1, b2, tmp = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+    for c in coeffs[::-1].tolist():
+        np.multiply(two_cos, b1, out=tmp)
+        np.subtract(tmp, b2, out=b2)
+        b2 += c
+        b1, b2 = b2, b1
+    b1 += b2
+    np.sin(0.5 * np.pi * t, out=tmp)
+    tmp *= math.sqrt(2.0)
+    b1 *= tmp
+    return b1
 
 
 @dataclass(frozen=True)

@@ -251,7 +251,7 @@ def test_failed_rows_exit_two(tmp_path, capsys, monkeypatch):
     code, _, _ = _run(capsys, "experiment", "--config", str(cfg_path), "--out", str(out_dir))
     assert code == 2
     rows = (out_dir / "rows.csv").read_text().splitlines()
-    assert rows[1].endswith("error:RuntimeError")
+    assert rows[1].endswith("error:RuntimeError: boom")
 
     code, out, _ = _run(capsys, "report", "--path", str(out_dir))
     assert code == 2

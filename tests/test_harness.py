@@ -225,6 +225,20 @@ def test_improved_bound_arms_share_everything_but_lambda():
         assert c["se"] >= 0
 
 
+@pytest.mark.parametrize(
+    "override",
+    [dict(lambdas=(0.5,)), dict(estimators=("krls",)), dict(estimators=("localized", "krls"))],
+    ids=["lambdas", "krls", "extra_estimator"],
+)
+def test_improved_bound_rejects_ignored_settings(override):
+    # each arm sets lambda itself and fits only "localized"
+    task = piecewise_task(0.1, 0.5, 0.25, 1.0, 8, {3}, NoiseSpec("gaussian", 1.0))
+    base = dict(estimators=("localized",), n_grid=(64,), ms=(4,))
+    cfg = _config(task=task, experiment="improved_bound", **{**base, **override})
+    with pytest.raises(ContractError, match="improved-bound"):
+        run_improved_bound_experiment(cfg)
+
+
 def test_improved_bound_requires_piecewise_task():
     cfg = _config(experiment="improved_bound")
     with pytest.raises(ContractError):
@@ -284,9 +298,24 @@ def test_failed_fit_taints_row_but_run_continues(monkeypatch):
     report = run_rate_experiment(cfg)
     assert calls["count"] == 4
     assert len(report.rows) == 4
-    assert all(r.warning == "error:RuntimeError" for r in report.rows)
+    assert all(r.warning == "error:RuntimeError: boom" for r in report.rows)
     assert all(math.isnan(r.mise) for r in report.rows)
     assert report.slopes["krls"] is None
+
+
+def test_failed_row_message_survives_the_report(tmp_path, monkeypatch):
+    message = 'cell 3: pivot 1e-18, "singular" block'
+
+    def explode(*args, **kwargs):
+        raise ValueError(message)
+
+    monkeypatch.setattr(harness, "fit_estimator", explode)
+    report = run_rate_experiment(_config(n_grid=(16, 32)))
+    assert all(r.warning == f"error:ValueError: {message}" for r in report.rows)
+    emit_report(report, tmp_path / "out")
+    back = parse_report(tmp_path / "out")
+    assert [r.warning for r in back.rows] == [r.warning for r in report.rows]
+    assert all(r.failed for r in back.rows)
 
 
 def test_emit_and_parse_round_trip(tmp_path):

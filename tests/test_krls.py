@@ -204,7 +204,7 @@ def test_blocked_predict_matches_one_shot(fit, centers, monkeypatch):
     xt = rng.uniform(0, 1, 100)
     expected = cross_gram(model.kernel, xt, getattr(model, centers)) @ model.alpha
     # 40 * 30 entries per block: 30 rows, so 100 points take 4 blocks
-    monkeypatch.setattr(krls, "_PREDICT_BLOCK_ENTRIES", 40 * 30)
+    monkeypatch.setattr(krls, "_BLOCK_ENTRIES", 40 * 30)
     blocks = []
     real_cross_gram = kernels.cross_gram
 

@@ -12,6 +12,8 @@ from krlslab import (
     gaussian,
     gram,
     cross_gram,
+    kernels,
+    krls,
     linalg,
     polynomial,
     sample_landmarks,
@@ -137,6 +139,47 @@ def test_fit_is_bitwise_deterministic():
     b = fit_nystrom(x, y, 1e-2, 20, seed=7, spec=brownian())
     np.testing.assert_array_equal(a.alpha, b.alpha)
     np.testing.assert_array_equal(a.landmark_indices, b.landmark_indices)
+
+
+def test_blocked_normal_equations_match_one_block(monkeypatch):
+    # Compared through the system handed to the solver: alpha itself moves
+    # with the conditioning (1e-8 relative here for a 1e-16 change in b).
+    rng = np.random.default_rng(15)
+    x = rng.uniform(0, 1, 100)
+    y = rng.standard_normal(100)
+    spec = gaussian(0.3)
+    systems = []
+    real_solve = linalg._cholesky_solve
+
+    def capturing_solve(b, shift, rhs):
+        systems.append((b.copy(), rhs.copy()))
+        return real_solve(b, shift, rhs)
+
+    monkeypatch.setattr(linalg, "_cholesky_solve", capturing_solve)
+    whole = fit_nystrom(x, y, 1e-3, 20, seed=4, spec=spec)
+    # one block is bitwise the unblocked formula
+    k_nl = cross_gram(spec, x, whole.landmarks)
+    b_one, rhs_one = systems[0]
+    np.testing.assert_array_equal(b_one, k_nl.T @ k_nl + 100 * 1e-3 * gram(spec, whole.landmarks))
+    np.testing.assert_array_equal(rhs_one, k_nl.T @ y)
+    # 20 * 30 entries per block: 30 rows, so 100 points take 4 blocks
+    monkeypatch.setattr(krls, "_BLOCK_ENTRIES", 20 * 30)
+    blocks = []
+    real_cross_gram = kernels.cross_gram
+
+    def counting_cross_gram(spec, a, b):
+        blocks.append(len(a))
+        return real_cross_gram(spec, a, b)
+
+    monkeypatch.setattr(kernels, "cross_gram", counting_cross_gram)
+    blocked = fit_nystrom(x, y, 1e-3, 20, seed=4, spec=spec)
+    assert blocks == [30, 30, 30, 10]
+    np.testing.assert_array_equal(blocked.landmark_indices, whole.landmark_indices)
+    b_blocked, rhs_blocked = systems[1]
+    np.testing.assert_array_equal(b_blocked, b_blocked.T)
+    np.testing.assert_allclose(b_blocked, b_one, rtol=1e-12, atol=0)
+    scale = np.abs(rhs_one).max()
+    np.testing.assert_allclose(rhs_blocked, rhs_one, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_fit_contract_errors():

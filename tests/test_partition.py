@@ -130,21 +130,28 @@ def test_weights_sum_exactly_one():
 
 
 def test_split_preserves_order_and_reassembles():
-    part = build_grid_partition((0.0, 1.0), 5)
     rng = np.random.default_rng(2)
-    x = rng.uniform(0, 1, 300)
-    y = rng.standard_normal(300)
-    stats, cells = split_dataset(part, x, y)
-    rebuilt_x = np.empty(300)
-    rebuilt_y = np.empty(300)
-    for ix, (xj, yj) in zip(stats.index_sets, cells):
-        assert np.all(np.diff(ix) > 0)  # original order within the cell
-        rebuilt_x[ix] = xj[:, 0]
-        rebuilt_y[ix] = yj
-    np.testing.assert_array_equal(rebuilt_x, x)
-    np.testing.assert_array_equal(rebuilt_y, y)
-    all_idx = np.concatenate(stats.index_sets)
-    assert sorted(all_idx.tolist()) == list(range(300))
+    grid = build_grid_partition((0.0, 1.0), 5)
+    # no point falls nearest the third center, so cell 2 stays empty
+    voronoi = build_voronoi_partition([[0.2, 0.3], [0.7, 0.2], [0.9, 0.9], [0.5, 0.6]])
+    cases = ((grid, rng.uniform(0, 1, (300, 1))), (voronoi, rng.uniform(0, 0.5, (300, 2))))
+    for part, x in cases:
+        y = rng.standard_normal(300)
+        stats, cells = split_dataset(part, x, y)
+        labels = assign(part, x)
+        for j, ix in enumerate(stats.index_sets):
+            np.testing.assert_array_equal(ix, np.flatnonzero(labels == j))
+        rebuilt_x = np.empty_like(x)
+        rebuilt_y = np.empty(300)
+        for ix, (xj, yj) in zip(stats.index_sets, cells):
+            assert np.all(np.diff(ix) > 0)  # original order within the cell
+            rebuilt_x[ix] = xj
+            rebuilt_y[ix] = yj
+        np.testing.assert_array_equal(rebuilt_x, x)
+        np.testing.assert_array_equal(rebuilt_y, y)
+        all_idx = np.concatenate(stats.index_sets)
+        assert sorted(all_idx.tolist()) == list(range(300))
+    assert stats.counts[2] == 0 and stats.index_sets[2].shape == (0,)
 
 
 def test_uniform_weights_concentrate():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from krlslab import (
     piecewise_task,
     sample_labels,
     sobolev_task,
+    synth,
 )
 
 
@@ -50,6 +52,37 @@ def test_sobolev_single_mode():
     x = np.array([0.0, 0.5, 1.0])
     expect = target.coefficients[0] * np.sqrt(2) * np.sin(0.5 * np.pi * x)
     np.testing.assert_allclose(target(x), expect, rtol=1e-14)
+
+
+def _direct_series(coeffs, t):
+    # reference: the N x K sine matrix times the coefficients
+    k = np.arange(1, coeffs.shape[0] + 1)
+    return math.sqrt(2.0) * np.sin(np.outer(t, (k - 0.5) * np.pi)) @ coeffs
+
+
+@pytest.mark.parametrize("k_trunc", [1, 7, 200, 1000])
+@pytest.mark.parametrize("r", [0.1, 0.25, 0.5])
+def test_clenshaw_series_matches_sine_matrix(r, k_trunc):
+    rng = np.random.default_rng(16)
+    t = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 1001), rng.random(1000)])
+    coeffs = make_sobolev_target(r, 1.0, k_trunc).coefficients
+    want = _direct_series(coeffs, t)
+    got = synth._series(coeffs, t)
+    assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+
+
+def test_target_evaluation_memory_is_linear_in_points():
+    # the acceptance target at the acceptance test size: 20000 points and
+    # 200 terms, whose sine matrix alone would take 32 MB
+    task = sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.15), marginal=("uniform", 0.9, 1.0))
+    xs = gen_inputs(task, 20000, 0)
+    tracemalloc.start()
+    try:
+        task.target(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_sobolev_coefficient_profile():
