@@ -16,6 +16,9 @@ from .exceptions import ContractError, DomainError, EmptyInputError
 
 FAMILIES = ("gaussian", "laplacian", "brownian", "polynomial")
 
+# Entries of the norm-sum temporary that _sq_dist adds per row block (512 KB).
+_ADD_ENTRIES = 2**16
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -161,24 +164,45 @@ def _check_domain(spec: KernelSpec, pts: np.ndarray):
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances, clipped at zero; exactly symmetric when a is b."""
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-    sq -= 2.0 * (a @ b.T)
+    """Squared distances (|a|^2 + |b|^2) - 2 a.b, clipped at zero, in one buffer.
+
+    The product is scaled by -2 in place and the norm sums are added a few
+    rows at a time. Since x - y is exactly -y + x, this is bitwise the
+    broadcast formula, and exactly symmetric when a is b.
+    """
+    sq = a @ b.T
+    sq *= -2.0
+    na = (a * a).sum(axis=1)
+    nb = (b * b).sum(axis=1)
+    step = max(1, _ADD_ENTRIES // nb.shape[0])
+    for i in range(0, sq.shape[0], step):
+        sq[i:i + step] += na[i:i + step, None] + nb
     return np.maximum(sq, 0.0, out=sq)
 
 
 def _pairwise(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if spec.family == "gaussian":
-        return np.exp(-_sq_dist(a, b) / (2.0 * spec.bandwidth**2))
-    if spec.family == "laplacian":
-        if a.shape[1] == 1:
-            dist = np.abs(a[:, 0][:, None] - b[:, 0][None, :])
-        else:
-            dist = np.sqrt(_sq_dist(a, b))
-        return np.exp(-dist / spec.bandwidth)
+    """Kernel matrix of a against b, built in its own output buffer."""
     if spec.family == "brownian":
         return np.minimum(a[:, 0][:, None], b[:, 0][None, :])
-    return (a @ b.T + spec.offset) ** spec.degree
+    if spec.family == "polynomial":
+        k = a @ b.T
+        k += spec.offset
+        k **= spec.degree
+        return k
+    if spec.family == "gaussian":
+        k = _sq_dist(a, b)
+        scale = 2.0 * spec.bandwidth**2
+    else:  # laplacian
+        if a.shape[1] == 1:
+            k = np.subtract(a[:, 0][:, None], b[:, 0][None, :])
+            np.abs(k, out=k)
+        else:
+            k = _sq_dist(a, b)
+            np.sqrt(k, out=k)
+        scale = spec.bandwidth
+    np.negative(k, out=k)
+    k /= scale
+    return np.exp(k, out=k)
 
 
 def eval_kernel(spec: KernelSpec, x, z):

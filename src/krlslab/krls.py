@@ -75,11 +75,11 @@ def fit_krls(x, y, lam: float, spec: KernelSpec) -> KrlsModel:
     spec : kernel to use
 
     The n-scaled shift lam * n comes from the 1/n weighting of the squared
-    error in the objective.
+    error in the objective. The Gram is factored in place, so the fit holds
+    one n x n matrix; the rare jitter retry builds it again.
     """
     if not lam > 0:
         raise ContractError("lam must be positive")
     pts, y = kernels._as_data(x, y, spec.dim)
-    k = kernels.gram(spec, pts)
-    alpha = linalg._spd_solve(k, lam * y.shape[0], y)
+    alpha = linalg._spd_solve(lambda: kernels.gram(spec, pts), lam * y.shape[0], y)
     return KrlsModel(inputs=pts, alpha=alpha, lam=float(lam), kernel=spec)

@@ -2,25 +2,36 @@
 
 Thin wrappers over scipy that pin down the behaviors the rest of the
 package relies on: eigendecompositions come back sorted descending,
-shifted SPD solves factor one copy in place and retry once with a
-fixed-size jitter before giving up, and pseudo-inverse solves truncate at a
-relative eigenvalue tolerance. Gram-based fits, symmetric by construction,
-skip the symmetry check through the private ``_spd_solve``.
+shifted SPD solves retry once with a fixed-size jitter before giving up,
+and pseudo-inverse solves truncate at a relative eigenvalue tolerance.
+Right-hand sides are checked before any factorization.
+
+A shifted solve consumes the matrix it factors: the shift goes onto its
+diagonal and the Cholesky factor over its upper triangle, in place, and the
+residual check reads the matrix from the strict lower triangle LAPACK
+leaves untouched. Gram-based fits, symmetric by construction, skip the
+symmetry check through the private ``_spd_solve`` and hand it a function
+that builds the matrix, so that a dense fit holds one n x n buffer and the
+jitter retry factors a rebuilt Gram. The public ``spd_solve`` factors a
+copy and leaves its argument unchanged.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .exceptions import ContractError, IllConditionedError
+from .exceptions import ContractError, EmptyInputError, IllConditionedError
 
 SYMMETRY_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-10
 JITTER_SCALE = 1e-12
 PINV_RTOL = 1e-10
+# Rows per block of the residual check; its diagonal block copy is 512 KB.
+_RESIDUAL_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -49,9 +60,23 @@ def _require_symmetric(a: np.ndarray, op: str) -> np.ndarray:
 
 def eigh(a: np.ndarray) -> EigenDecomposition:
     """Full symmetric eigendecomposition, eigenvalues descending."""
-    a = _require_symmetric(a, "eigh")
+    return _eigh(_require_symmetric(a, "eigh"))
+
+
+def _eigh(a: np.ndarray) -> EigenDecomposition:
+    """eigh for a float matrix already checked by _require_symmetric."""
     w, v = scipy.linalg.eigh(a)
     return EigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
+
+
+def _rhs(b, n: int) -> np.ndarray:
+    """The right-hand side as a finite float array of n rows."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 0 or b.shape[0] != n:
+        raise ContractError("right-hand side length does not match matrix")
+    if not np.all(np.isfinite(b)):
+        raise ContractError("right-hand side must be finite")
+    return b
 
 
 def spd_solve(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
@@ -59,53 +84,84 @@ def spd_solve(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    a : symmetric positive semidefinite matrix, left unchanged
+    a : symmetric positive semidefinite matrix, at least 1 x 1, left
+        unchanged: the solve factors a copy of it
     shift : nonnegative diagonal shift
     b : finite right-hand side, vector or matrix
 
     Raises
     ------
+    EmptyInputError
+        If a is 0 x 0.
     IllConditionedError
         If factorization (or the residual check) still fails after adding a
-        diagonal jitter of 1e-12 * trace(a) / n. The jitter used is attached
-        to the exception.
+        diagonal jitter of 1e-12 * trace(a) / n to a fresh copy. The jitter
+        used is attached to the exception.
     """
-    return _spd_solve(_require_symmetric(a, "spd_solve"), shift, b)
+    a = _require_symmetric(a, "spd_solve")
+    if a.shape[0] == 0:
+        raise EmptyInputError("spd_solve needs a nonempty matrix")
+    return _spd_solve(a.copy, shift, b)
 
 
-def _spd_solve(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
-    """spd_solve for a float matrix that is symmetric by construction."""
+def _spd_solve(build: Callable[[], np.ndarray], shift: float, b) -> np.ndarray:
+    """spd_solve for a matrix that build() returns and the solve consumes.
+
+    build() must return a fresh, C-ordered, nonempty float matrix that is
+    exactly symmetric by construction. It is called once, and once more
+    for the jitter retry, after the first matrix has been dropped: a dense
+    fit never holds two n x n matrices.
+    """
     if shift < 0:
         raise ContractError("shift must be nonnegative")
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise ContractError("right-hand side length does not match matrix")
-    if not np.all(np.isfinite(b)):
-        raise ContractError("right-hand side must be finite")
+    a = build()
+    b = _rhs(b, a.shape[0])
     jitter = JITTER_SCALE * float(np.trace(a)) / a.shape[0]
-    for diag in (shift, shift + jitter):
-        try:
-            return _cholesky_solve(a, diag, b)
-        except np.linalg.LinAlgError as exc:
-            error = exc
-    raise IllConditionedError(
-        f"shifted solve failed even with diagonal jitter {jitter:.3e}: {error}",
-        jitter=jitter,
-    ) from error
+    try:
+        return _cholesky_solve(a, shift, b)
+    except np.linalg.LinAlgError:
+        pass
+    del a  # consumed by the failed attempt; free it before the rebuild
+    try:
+        return _cholesky_solve(build(), shift + jitter, b)
+    except np.linalg.LinAlgError as error:
+        raise IllConditionedError(
+            f"shifted solve failed even with diagonal jitter {jitter:.3e}: {error}",
+            jitter=jitter,
+        ) from error
 
 
 def _cholesky_solve(a: np.ndarray, diag: float, b: np.ndarray) -> np.ndarray:
-    """One Cholesky solve of (a + diag * I) x = b, leaving a unchanged.
+    """One Cholesky solve of (a + diag * I) x = b that consumes a.
+
+    a must be a C-ordered, exactly symmetric float matrix the caller gives
+    up: its diagonal is shifted in place and LAPACK writes the factor over
+    its upper triangle. potrf leaves the strict lower triangle holding the
+    matrix, so the residual is taken from that triangle and the saved
+    diagonal.
 
     Raises LinAlgError when factorization fails or when the residual is not
     within RESIDUAL_RTOL * |b|, a NaN residual included.
     """
-    m = a.copy().T  # Fortran-ordered, so LAPACK factors it without a copy
-    m.flat[:: a.shape[0] + 1] += diag
-    c = scipy.linalg.cho_factor(m, lower=True, overwrite_a=True, check_finite=False)
+    n = a.shape[0]
+    d = a.diagonal() + diag
+    a.flat[:: n + 1] += diag
+    # a.T is Fortran-ordered, so LAPACK factors it without a copy; its lower
+    # triangle is a's upper one.
+    c = scipy.linalg.cho_factor(a.T, lower=True, overwrite_a=True, check_finite=False)
     x = scipy.linalg.cho_solve(c, b, check_finite=False)
-    residual = np.linalg.norm(a @ x + diag * x - b)
-    if not residual <= RESIDUAL_RTOL * max(np.linalg.norm(b), np.finfo(float).tiny):
+    # numpy's matmul, not scipy's dsymv/dsymm: numpy and scipy load separate
+    # OpenBLAS thread pools, and a fit that ended on scipy's pool slowed the
+    # numpy cross-Gram products of the predict that followed it.
+    residual = (d * x.T).T - b
+    for i in range(0, n, _RESIDUAL_ROWS):
+        rows = slice(i, i + _RESIDUAL_ROWS)
+        below = a[rows, :i]
+        block = np.tril(a[rows, rows], -1)
+        residual[rows] += below @ x[:i] + block @ x[rows] + block.T @ x[rows]
+        residual[:i] += below.T @ x[rows]
+    tol = RESIDUAL_RTOL * max(np.linalg.norm(b), np.finfo(float).tiny)
+    if not np.linalg.norm(residual) <= tol:
         raise np.linalg.LinAlgError("residual above tolerance")
     return x
 
@@ -118,10 +174,9 @@ def pinv_solve(a: np.ndarray, b: np.ndarray, rel_tol: float = PINV_RTOL) -> np.n
     """
     if rel_tol <= 0:
         raise ContractError("rel_tol must be positive")
-    dec = eigh(a)
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise ContractError("right-hand side length does not match matrix")
+    a = _require_symmetric(a, "pinv_solve")
+    b = _rhs(b, a.shape[0])
+    dec = _eigh(a)
     w, v = dec.eigenvalues, dec.eigenvectors
     top = w[0] if w.size else 0.0
     if top <= 0.0:

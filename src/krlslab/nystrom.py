@@ -83,7 +83,8 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
         b += k.T @ k
         rhs += k.T @ y[rows]
     try:
-        alpha = linalg._cholesky_solve(b, 0.0, rhs)
+        # on a copy: the attempt consumes its matrix, and the fallback needs b
+        alpha = linalg._cholesky_solve(b.copy(), 0.0, rhs)
     except np.linalg.LinAlgError:
         alpha = linalg.pinv_solve(b, rhs)
     return NystromModel(

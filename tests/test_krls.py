@@ -1,6 +1,7 @@
 """Global KRLS: dual solve, prediction, and the regularization contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from krlslab import (
     ContractError,
     EmptyInputError,
+    IllConditionedError,
     brownian,
     cross_gram,
     fit_krls,
@@ -16,6 +18,8 @@ from krlslab import (
     gram,
     kernels,
     krls,
+    laplacian,
+    polynomial,
 )
 
 
@@ -168,25 +172,67 @@ def test_non_finite_labels_rejected():
             fit_krls([0.1, 0.5, 0.9], [1.0, bad, 0.0], 1e-2, brownian())
 
 
-def test_fit_leaves_inputs_and_gram_unchanged(monkeypatch):
+def test_fit_leaves_inputs_unchanged():
     rng = np.random.default_rng(8)
     x = rng.uniform(0, 1, (50, 2))
     y = rng.standard_normal(50)
     x_kept, y_kept = x.copy(), y.copy()
-    spec = gaussian(0.4, ((0.0, 1.0), (0.0, 1.0)))
+    fit_krls(x, y, 1e-2, gaussian(0.4, ((0.0, 1.0), (0.0, 1.0))))
+    np.testing.assert_array_equal(x, x_kept)
+    np.testing.assert_array_equal(y, y_kept)
+
+
+_SQUARE = ((0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [gaussian(0.3, _SQUARE), laplacian(0.3), laplacian(0.3, _SQUARE), brownian(),
+     polynomial(3, 1.0)],
+    ids=["gaussian", "laplacian-1d", "laplacian-2d", "brownian", "polynomial"],
+)
+def test_fit_holds_one_gram(spec):
+    # the Gram is assembled in its one buffer and factored in place
+    n = 1024
+    rng = np.random.default_rng(16)
+    x = rng.uniform(0, 1, (n, spec.dim))
+    y = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        fit_krls(x, y, 1e-3, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
+
+
+def test_jitter_retry_rebuilds_the_gram(monkeypatch):
+    # 20 distinct points, 10 copies each: the Gram has rank 20 at most, so
+    # at lam = 1e-18 the first factorization fails and the retry factors a
+    # rebuilt Gram plus a jitter of 1e-12 * trace / n = 1e-12.
+    base = np.random.default_rng(17).uniform(0, 1, 20)
+    x = np.repeat(base, 10)
+    spec = gaussian(0.5)
+    in_range = cross_gram(spec, x, base[:1])[:, 0]
     built = []
     real_gram = kernels.gram
 
-    def recording_gram(spec, pts):
-        built.append(real_gram(spec, pts))
-        return built[-1]
+    def counting_gram(spec, pts):
+        built.append(len(pts))
+        return real_gram(spec, pts)
 
-    monkeypatch.setattr(kernels, "gram", recording_gram)
-    fit_krls(x, y, 1e-2, spec)
-    np.testing.assert_array_equal(x, x_kept)
-    np.testing.assert_array_equal(y, y_kept)
-    # the solver factors its own copy; the Gram it was handed is untouched
-    np.testing.assert_array_equal(built[0], real_gram(spec, x))
+    monkeypatch.setattr(kernels, "gram", counting_gram)
+    # labels in the Gram's range: the retry holds
+    model = fit_krls(x, in_range, 1e-18, spec)
+    assert built == [200, 200]
+    assert np.all(np.isfinite(model.alpha))
+    # labels summing to zero over each point's copies lie in its null space,
+    # where alpha = y / jitter misses the residual tolerance
+    built.clear()
+    with pytest.raises(IllConditionedError) as err:
+        fit_krls(x, np.tile([1.0, -1.0], 100), 1e-18, spec)
+    assert err.value.jitter == pytest.approx(1e-12)
+    assert built == [200, 200]
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from krlslab import (
     ContractError,
+    EmptyInputError,
     IllConditionedError,
     eigh,
     linalg,
@@ -156,6 +158,38 @@ def test_spd_solve_leaves_matrix_unchanged():
     kept = a.copy()
     spd_solve(a, 0.0, a @ np.ones(3))
     np.testing.assert_array_equal(a, kept)
+
+
+def test_spd_solve_rejects_empty_matrix():
+    with pytest.raises(EmptyInputError):
+        spd_solve(np.zeros((0, 0)), 1.0, np.zeros(0))
+
+
+def test_cholesky_solve_factors_in_place_and_keeps_lower_triangle():
+    # 600 rows span three residual blocks; the right-hand side is a matrix
+    rng = np.random.default_rng(7)
+    n = 600
+    a = _random_spd(rng, n)
+    kept = a.copy()
+    b = rng.standard_normal((n, 2))
+    x = linalg._cholesky_solve(a, 0.5, b)
+    shifted = kept + 0.5 * np.eye(n)
+    np.testing.assert_allclose(shifted @ x, b, atol=1e-10)
+    # the factor overwrote the upper triangle; the residual read the lower one
+    upper = np.triu(a)
+    np.testing.assert_allclose(upper.T @ upper, shifted, rtol=1e-12, atol=1e-9)
+    np.testing.assert_array_equal(np.tril(a, -1), np.tril(kept, -1))
+
+
+def test_pinv_checks_rhs_before_eigh(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran before the right-hand side check")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    with pytest.raises(ContractError, match="finite"):
+        pinv_solve(np.eye(3), np.array([1.0, np.nan, 0.0]))
+    with pytest.raises(ContractError, match="length"):
+        pinv_solve(np.eye(3), np.ones(2))
 
 
 def test_pinv_identity():
