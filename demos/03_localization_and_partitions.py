@@ -14,7 +14,7 @@ from krlslab import (
     assign,
     build_grid_partition,
     cellwise_mse,
-    direct_sum_kernel,
+    direct_sum_gram,
     fit_krls,
     fit_localized,
     fit_localized_nystrom,
@@ -52,11 +52,13 @@ gap = np.max(np.abs(fit_localized(x, y, whole, lam, spec).predict(x_test)
                     - fit_krls(x, y, lam, spec).predict(x_test)))
 print(f"single cell vs global: max |diff| {float(gap):.2e}")
 
-# The glued estimator is itself a kernel method: its kernel is the
-# weighted direct sum, zero across cells.
-weights = np.full(part.m, 1.0 / part.m)
-print("direct-sum kernel, same cell:", direct_sum_kernel(part, [spec] * part.m, weights, 0.11, 0.12))
-print("direct-sum kernel, different cells:", direct_sum_kernel(part, [spec] * part.m, weights, 0.11, 0.51))
+# The glued estimator is itself a kernel method: global KRLS under the
+# weighted direct sum of the cell kernels, each divided by its cell weight
+# p_j = n_j / n and zero across cells. Two points in cell 0, one in cell 3:
+pts = np.array([0.11, 0.12, 0.51])
+block = direct_sum_gram(part, spec, local.cell_stats.weights, pts, pts)
+print("direct-sum Gram block:")
+print(np.round(block, 3))
 
 # Landmarks can be restricted per cell as well: every cell draws the
 # same number, capped at the cell's own sample size.

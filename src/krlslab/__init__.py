@@ -42,7 +42,7 @@ from .localized import (
     LocalizedModel,
     ZeroModel,
     cell_seed,
-    direct_sum_kernel,
+    direct_sum_gram,
     fit_distributed_average,
     fit_localized,
     fit_localized_nystrom,

@@ -150,17 +150,20 @@ def _as_data(x, y, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, y
 
 
-def _check_domain(spec: KernelSpec, pts: np.ndarray):
+def _check_in_box(pts: np.ndarray, box):
+    """Require at least one point, all finite, each coordinate in its interval.
+
+    ``box`` holds one (low, high) pair per coordinate, or none, in which case
+    only the count and finiteness are checked.
+    """
     if pts.shape[0] == 0:
         raise EmptyInputError("need at least one point")
     if not np.all(np.isfinite(pts)):
         raise DomainError("points must be finite")
-    for j, (lo, hi) in enumerate(spec.domain):
+    for j, (lo, hi) in enumerate(box):
         col = pts[:, j]
         if col.min() < lo or col.max() > hi:
-            raise DomainError(
-                f"coordinate {j} leaves the kernel domain [{lo}, {hi}]"
-            )
+            raise DomainError(f"coordinate {j} leaves [{lo}, {hi}]")
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -209,8 +212,8 @@ def eval_kernel(spec: KernelSpec, x, z):
     """Evaluate K(x, z) for single points. Returns a float."""
     a = _as_points(x, spec.dim)
     b = _as_points(z, spec.dim)
-    _check_domain(spec, a)
-    _check_domain(spec, b)
+    _check_in_box(a, spec.domain)
+    _check_in_box(b, spec.domain)
     if a.shape[0] != 1 or b.shape[0] != 1:
         raise ContractError("eval_kernel takes single points; use cross_gram")
     return float(_pairwise(spec, a, b)[0, 0])
@@ -223,7 +226,7 @@ def gram(spec: KernelSpec, x) -> np.ndarray:
     exactly symmetric product, and every other step is symmetric in (i, j).
     """
     pts = _as_points(x, spec.dim)
-    _check_domain(spec, pts)
+    _check_in_box(pts, spec.domain)
     return _pairwise(spec, pts, pts)
 
 
@@ -231,8 +234,8 @@ def cross_gram(spec: KernelSpec, x, z) -> np.ndarray:
     """Rectangular kernel matrix K[i, j] = K(x_i, z_j)."""
     a = _as_points(x, spec.dim)
     b = _as_points(z, spec.dim)
-    _check_domain(spec, a)
-    _check_domain(spec, b)
+    _check_in_box(a, spec.domain)
+    _check_in_box(b, spec.domain)
     return _pairwise(spec, a, b)
 
 

@@ -10,8 +10,8 @@ Training pairs are checked once, at the split, before any cell is fit.
 
 The direct-sum view: the localized estimator is global KRLS under the kernel
 K(x, z) = sum_j p_j^{-1} K_j(x, z) 1{x, z in cell j}, which vanishes across
-cells. The cell weights appear only in that kernel identity; prediction
-never divides by them.
+cells; ``direct_sum_gram`` builds its Gram matrix. The cell weights appear
+only in that kernel identity; prediction never divides by them.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ class LocalizedModel:
 
     def predict(self, x):
         pts = kernels._as_points(x, self.partition.dim)
-        labels = partition_mod.assign(self.partition, pts)
+        _, index_sets = partition_mod._group(self.partition, pts)
         out = np.zeros(pts.shape[0])
-        for j in np.unique(labels):
-            mask = labels == j
-            out[mask] = self.local_models[j].predict(pts[mask])
+        for model, ix in zip(self.local_models, index_sets):
+            if ix.size:
+                out[ix] = model.predict(pts[ix])
         return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -157,27 +157,29 @@ def fit_localized_nystrom(
     return _fit_cells(x, y, part, lam, specs, fit_cell)
 
 
-def direct_sum_kernel(part: Partition, specs, weights, x, z) -> float:
-    """Evaluate the weighted direct-sum kernel at a pair of points.
+def direct_sum_gram(part: Partition, specs, weights, x, z) -> np.ndarray:
+    """Gram matrix of the weighted direct-sum kernel between x and z.
 
-    Zero when the points fall in different cells; p_j^{-1} K_j(x, z) when
-    both lie in cell j. A nonpositive weight on an occupied cell is a
-    contract violation (the direct-sum kernel is undefined there).
+    Entry (i, k) is p_j^{-1} K_j(x_i, z_k) when both points lie in cell j and
+    zero when they fall in different cells. A nonpositive weight on a cell
+    holding points of both x and z is a contract violation (the direct-sum
+    kernel is undefined there).
     """
     spec_list = _spec_list(specs, part.m)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (part.m,):
         raise ContractError("need one weight per cell")
-    jx_arr = np.atleast_1d(partition_mod.assign(part, x))
-    jz_arr = np.atleast_1d(partition_mod.assign(part, z))
-    if jx_arr.size != 1 or jz_arr.size != 1:
-        raise ContractError("direct_sum_kernel takes single points")
-    jx, jz = int(jx_arr[0]), int(jz_arr[0])
-    if jx != jz:
-        return 0.0
-    if not weights[jx] > 0:
-        raise ContractError(f"cell {jx} is occupied but has weight {weights[jx]}")
-    return kernels.eval_kernel(spec_list[jx], x, z) / weights[jx]
+    a = kernels._as_points(x, part.dim)
+    b = kernels._as_points(z, part.dim)
+    _, rows = partition_mod._group(part, a)
+    _, cols = partition_mod._group(part, b)
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for j, (ix, iz) in enumerate(zip(rows, cols)):
+        if ix.size and iz.size:
+            if not weights[j] > 0:
+                raise ContractError(f"cell {j} is occupied but has weight {weights[j]}")
+            out[np.ix_(ix, iz)] = kernels.cross_gram(spec_list[j], a[ix], b[iz]) / weights[j]
+    return out
 
 
 def fit_distributed_average(

@@ -8,7 +8,7 @@ compares by value.
 
 Points and labels are coerced as everywhere else in the package, by
 ``kernels._as_points`` and ``kernels._as_data`` against the partition's
-dimension.
+dimension, and checked by ``kernels._check_in_box``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .exceptions import ContractError, DomainError, EmptyInputError
+from .exceptions import ContractError
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class Partition:
             if len(box) != len(cells):
                 raise ContractError("box and cells_per_dim disagree in dimension")
             for lo, hi in box:
-                if not lo < hi:
-                    raise ContractError(f"degenerate box interval ({lo}, {hi})")
+                if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+                    raise ContractError(f"box interval ({lo}, {hi}) is not finite and increasing")
             if any(c < 1 for c in cells):
                 raise ContractError("need at least one cell per dimension")
             object.__setattr__(self, "box", box)
@@ -51,6 +51,8 @@ class Partition:
             centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
             if centers.ndim != 2 or centers.shape[0] < 1:
                 raise ContractError("voronoi centers must be a nonempty (m, d) array")
+            if not np.all(np.isfinite(centers)):
+                raise ContractError("voronoi centers must be finite")
             object.__setattr__(self, "centers", tuple(map(tuple, centers.tolist())))
         else:
             raise ContractError(f"unknown partition scheme {self.scheme!r}")
@@ -91,18 +93,10 @@ def assign(partition: Partition, x):
     center in Euclidean distance, lowest index on ties.
     """
     pts = kernels._as_points(x, partition.dim)
-    if pts.shape[0] == 0:
-        raise EmptyInputError("need at least one point to assign")
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("points must be finite")
+    kernels._check_in_box(pts, partition.box or ())
     if partition.scheme == "grid":
         idx = np.zeros(pts.shape[0], dtype=int)
-        for j, ((lo, hi), k) in enumerate(
-            zip(partition.box, partition.cells_per_dim)
-        ):
-            col = pts[:, j]
-            if col.min() < lo or col.max() > hi:
-                raise DomainError(f"coordinate {j} outside box [{lo}, {hi}]")
+        for col, (lo, hi), k in zip(pts.T, partition.box, partition.cells_per_dim):
             cell = np.floor((col - lo) / (hi - lo) * k).astype(int)
             np.clip(cell, 0, k - 1, out=cell)
             idx = idx * k + cell
@@ -152,6 +146,20 @@ class CellStats:
         return np.flatnonzero(self.counts == 0)
 
 
+def _group(partition: Partition, pts: np.ndarray):
+    """Per-cell counts and row indices of a batch of points.
+
+    Returns (counts, index_sets) with index_sets[j] the ascending rows that
+    fall in cell j, empty for an empty cell. Every caller that handles
+    points cell by cell goes through here.
+    """
+    labels = assign(partition, pts)
+    counts = np.bincount(labels, minlength=partition.m)
+    # A stable sort keeps each cell's indices ascending.
+    order = np.argsort(labels, kind="stable")
+    return counts, tuple(np.split(order, np.cumsum(counts[:-1])))
+
+
 def split_dataset(partition: Partition, x, y):
     """Split (x, y) by cell.
 
@@ -161,14 +169,8 @@ def split_dataset(partition: Partition, x, y):
     order and inverting recovers (x, y) exactly.
     """
     pts, y = kernels._as_data(x, y, partition.dim)
-    labels = assign(partition, pts)
-    n = pts.shape[0]
-    m = partition.m
-    counts = np.bincount(labels, minlength=m)
-    # A stable sort keeps each cell's indices ascending.
-    order = np.argsort(labels, kind="stable")
-    index_sets = tuple(np.split(order, np.cumsum(counts[:-1])))
-    weights = counts / n
+    counts, index_sets = _group(partition, pts)
+    weights = counts / pts.shape[0]
     weights[-1] = 1.0 - weights[:-1].sum()
     cells = [(pts[ix], y[ix]) for ix in index_sets]
     stats = CellStats(counts=counts, weights=weights, index_sets=index_sets)

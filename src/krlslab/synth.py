@@ -172,12 +172,12 @@ class PiecewiseTarget:
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float).reshape(-1)
-        labels = partition_mod.assign(self.partition, xs)
+        _, index_sets = partition_mod._group(self.partition, xs)
         out = np.zeros(xs.shape[0])
-        for j in np.unique(labels):
-            mask = labels == j
-            (lo, hi), = grid_cell_bounds(self.partition, int(j))
-            out[mask] = _series(self.cell_coefficients[j], (xs[mask] - lo) / (hi - lo))
+        for j, (coeffs, ix) in enumerate(zip(self.cell_coefficients, index_sets)):
+            if ix.size:
+                (lo, hi), = grid_cell_bounds(self.partition, j)
+                out[ix] = _series(coeffs, (xs[ix] - lo) / (hi - lo))
         return out
 
 

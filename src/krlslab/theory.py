@@ -136,28 +136,19 @@ def rate_exponent(params: ModelParams, r: float | None = None) -> float:
     return (2 * rr + 1) / (2 * rr + 1 + params.gamma)
 
 
-def effective_dimension(
-    k: np.ndarray,
-    lam: float,
-    normalize_kappa: bool = False,
-    kappa_sq: float = 1.0,
-) -> float:
+def effective_dimension(k: np.ndarray, lam: float, kappa_sq: float = 1.0) -> float:
     """Empirical effective dimension sum_i mu_i / (mu_i + lam).
 
-    mu_i are the eigenvalues of c * K / n with c = 1, or c = 1 / kappa_sq
-    when ``normalize_kappa`` is set (the convention that folds the kernel
-    bound into the operator). Negative eigenvalues from roundoff are
-    clipped to zero, so the result is bounded by rank(K).
+    mu_i are the eigenvalues of K / (n kappa_sq); a kappa_sq other than 1
+    folds the kernel bound into the operator. Negative eigenvalues from
+    roundoff are clipped to zero, so the result is bounded by rank(K).
     """
     if not lam > 0:
         raise ContractError("lam must be positive")
+    if not kappa_sq > 0:
+        raise ContractError("kappa_sq must be positive")
     k = np.asarray(k, dtype=float)
-    n = k.shape[0]
-    scale = 1.0 / n
-    if normalize_kappa:
-        if not kappa_sq > 0:
-            raise ContractError("kappa_sq must be positive")
-        scale /= kappa_sq
+    scale = 1.0 / k.shape[0] / kappa_sq
     return effective_dimension_from_spectrum(linalg.eigh(k * scale).eigenvalues, lam)
 
 

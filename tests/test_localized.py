@@ -1,4 +1,4 @@
-"""Localized fits, direct-sum kernel, and the distributed-average baseline."""
+"""Localized fits, the direct-sum Gram, and the distributed-average baseline."""
 
 import logging
 
@@ -13,13 +13,16 @@ from krlslab import (
     build_grid_partition,
     build_voronoi_partition,
     cell_seed,
-    direct_sum_kernel,
+    direct_sum_gram,
+    effective_dimension,
+    effective_dimension_sum_check,
     eval_kernel,
     fit_distributed_average,
     fit_krls,
     fit_localized,
     fit_localized_nystrom,
     gaussian,
+    gram,
     polynomial,
     spd_solve,
     split_dataset,
@@ -128,28 +131,36 @@ def test_cell_seed_is_distinct_per_cell():
     assert cell_seed([3, 4], 2) == [3, 4, 2]
 
 
-def test_direct_sum_kernel_values():
+def test_direct_sum_gram_values():
     part = build_grid_partition((0.0, 1.0), 2)
     spec = brownian()
-    # different cells: exactly zero
-    assert direct_sum_kernel(part, spec, [0.5, 0.5], 0.2, 0.8) == 0.0
-    # same cell: base value over the cell weight; min(0.5, 0.6)/0.25 = 2.0
-    assert direct_sum_kernel(part, spec, [0.75, 0.25], 0.6, 0.5) == 2.0
+    # 1 x 1, different cells: exactly zero
+    assert direct_sum_gram(part, spec, [0.5, 0.5], 0.2, 0.8).tolist() == [[0.0]]
+    # 1 x 1, same cell: base value over the cell weight; min(0.5, 0.6)/0.25 = 2.0
+    assert direct_sum_gram(part, spec, [0.75, 0.25], 0.6, 0.5).tolist() == [[2.0]]
     # single cell with weight one reduces to the base kernel
     whole = build_grid_partition((0.0, 1.0), 1)
-    val = direct_sum_kernel(whole, spec, [1.0], 0.3, 0.7)
-    assert val == eval_kernel(spec, 0.3, 0.7)
+    val = direct_sum_gram(whole, spec, [1.0], 0.3, 0.7)
+    assert val.tolist() == [[eval_kernel(spec, 0.3, 0.7)]]
+    # points in cells 0, 1, 0, 1 against cells 0, 1, 1: min(x, z) / 0.5 on
+    # same-cell pairs, in the points' own order, zero across cells
+    x = np.array([0.2, 0.6, 0.4, 0.9])
+    z = np.array([0.3, 0.7, 0.55])
+    expected = [[0.4, 0.0, 0.0], [0.0, 1.2, 1.1], [0.6, 0.0, 0.0], [0.0, 1.4, 1.1]]
+    np.testing.assert_array_equal(direct_sum_gram(part, spec, [0.5, 0.5], x, z), expected)
 
 
-def test_direct_sum_kernel_contract_errors():
+def test_direct_sum_gram_contract_errors():
     part = build_grid_partition((0.0, 1.0), 2)
     spec = brownian()
     with pytest.raises(ContractError):
-        direct_sum_kernel(part, spec, [0.0, 1.0], 0.2, 0.3)  # occupied, weight 0
+        direct_sum_gram(part, spec, [0.0, 1.0], 0.2, 0.3)  # occupied, weight 0
     with pytest.raises(ContractError):
-        direct_sum_kernel(part, spec, [0.5, 0.5, 0.0], 0.2, 0.3)
+        direct_sum_gram(part, spec, [0.0, 1.0], [0.2, 0.8], [0.3, 0.9])
     with pytest.raises(ContractError):
-        direct_sum_kernel(part, spec, [0.5, 0.5], np.array([0.1, 0.2]), 0.3)
+        direct_sum_gram(part, spec, [0.5, 0.5, 0.0], 0.2, 0.3)
+    # cell 0 holds x but not z, so it has no block and its weight is unused
+    assert direct_sum_gram(part, spec, [0.0, 1.0], 0.2, 0.8).tolist() == [[0.0]]
 
 
 def test_distributed_average_single_chunk_matches_krls():
@@ -307,14 +318,14 @@ def test_bad_lam_rejected_before_any_cell_fit(fit, patched, lam, monkeypatch):
     assert len(calls) == 4
 
 
-def _direct_sum_fit_predict(x, y, xt, part, lam, spec):
-    """Global KRLS under the direct-sum kernel with p_j = n_j / n, pairwise."""
-    n = y.shape[0]
-    weights = split_dataset(part, x, y)[0].counts / n
-    k = np.array([[direct_sum_kernel(part, spec, weights, a, b) for b in x] for a in x])
-    alpha = spd_solve(k, lam * n, y)
-    cross = np.array([[direct_sum_kernel(part, spec, weights, t, a) for a in x] for t in xt])
-    return cross @ alpha
+def _direct_sum_case(scheme, n, rng):
+    """Partition, kernel, n training points and 30 test points of a scheme."""
+    if scheme == "grid_1d":
+        part, spec = build_grid_partition((0.0, 1.0), 4), gaussian(0.3)
+        return part, spec, rng.uniform(0, 1, n), rng.uniform(0, 1, 30)
+    box = ((0.0, 1.0), (0.0, 1.0))
+    part = build_voronoi_partition([[0.2, 0.3], [0.7, 0.2], [0.5, 0.8]])
+    return part, gaussian(0.3, box), rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (30, 2))
 
 
 @pytest.mark.parametrize("scheme", ["grid_1d", "voronoi_2d"])
@@ -322,21 +333,33 @@ def test_localized_equals_global_fit_under_direct_sum_kernel(scheme):
     # The blocks of (K + lam n I) alpha = y decouple into
     # (K_j + lam n_j I) alpha_j = p_j y_j, so the two fits predict alike.
     rng = np.random.default_rng(21)
-    if scheme == "grid_1d":
-        part, spec = build_grid_partition((0.0, 1.0), 4), gaussian(0.3)
-        x, xt = rng.uniform(0, 1, 48), rng.uniform(0, 1, 30)
-    else:
-        box = ((0.0, 1.0), (0.0, 1.0))
-        part = build_voronoi_partition([[0.2, 0.3], [0.7, 0.2], [0.5, 0.8]])
-        spec = gaussian(0.3, box)
-        x, xt = rng.uniform(0, 1, (48, 2)), rng.uniform(0, 1, (30, 2))
-    y = rng.standard_normal(48)
-    assert np.all(split_dataset(part, x, y)[0].counts > 0)
-    local = fit_localized(x, y, part, 1e-2, spec).predict(xt)
-    direct = _direct_sum_fit_predict(x, y, xt, part, 1e-2, spec)
-    # relative to the largest prediction: a pointwise ratio blows up near zero
-    scale = np.abs(direct).max()
-    np.testing.assert_allclose(local, direct, rtol=1e-12, atol=1e-12 * scale)
+    for n in (48, 1024):
+        part, spec, x, xt = _direct_sum_case(scheme, n, rng)
+        y = rng.standard_normal(n)
+        counts = split_dataset(part, x, y)[0].counts
+        assert np.all(counts > 0)
+        local = fit_localized(x, y, part, 1e-2, spec).predict(xt)
+        weights = counts / n
+        alpha = spd_solve(direct_sum_gram(part, spec, weights, x, x), 1e-2 * n, y)
+        direct = direct_sum_gram(part, spec, weights, xt, x) @ alpha
+        # relative to the largest prediction: a pointwise ratio blows up near zero
+        scale = np.abs(direct).max()
+        np.testing.assert_allclose(local, direct, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("scheme", ["grid_1d", "voronoi_2d"])
+def test_direct_sum_gram_effective_dimension_splits_across_cells(scheme):
+    # The spectrum of the direct-sum Gram over n is the union over cells of
+    # eig(K_j / n) / p_j, the right-hand side of the sum check.
+    n, lam = 1024, 1e-3
+    part, spec, x, _ = _direct_sum_case(scheme, n, np.random.default_rng(22))
+    stats, cells = split_dataset(part, x, np.zeros(n))
+    weights = stats.counts / n
+    spectra = [np.linalg.eigvalsh(gram(spec, xj) / n) for xj, _ in cells]
+    _, rhs, _ = effective_dimension_sum_check(spectra, weights, lam)
+    whole = effective_dimension(direct_sum_gram(part, spec, weights, x, x), lam)
+    # eigh roundoff moves N by about n eps |G / n| / lam, some 2e-11 of N here
+    assert whole == pytest.approx(rhs, rel=1e-9)
 
 
 def test_localized_predict_on_zero_points_matches_krls():

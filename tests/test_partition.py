@@ -94,6 +94,22 @@ def test_degenerate_and_invalid_construction():
         build_voronoi_partition(np.zeros((0, 1)))
 
 
+def test_non_finite_grid_box_rejected():
+    # an infinite or NaN bound would put every point into cell 0
+    for box in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+        with pytest.raises(ContractError):
+            build_grid_partition(box, 4)
+    with pytest.raises(ContractError):
+        build_grid_partition(((0.0, 1.0), (0.0, np.inf)), (2, 2))
+
+
+def test_non_finite_voronoi_centers_rejected():
+    # a NaN center would take every point, since argmin stops at the NaN
+    for centers in ([[np.nan], [0.5], [0.9]], [[0.1, 0.2], [np.inf, 0.5]]):
+        with pytest.raises(ContractError):
+            build_voronoi_partition(centers)
+
+
 def test_split_single_cell():
     part = build_grid_partition((0.0, 1.0), 1)
     x = np.array([0.2, 0.9, 0.4])

@@ -136,9 +136,9 @@ def test_effective_dimension_bounds_and_monotonicity():
 def test_effective_dimension_kappa_normalization():
     k = 4.0 * np.eye(10)
     # dividing by kappa^2 = 4 recovers the identity-matrix case
-    assert effective_dimension(k, 0.1, normalize_kappa=True, kappa_sq=4.0) == 5.0
+    assert effective_dimension(k, 0.1, kappa_sq=4.0) == 5.0
     with pytest.raises(ContractError):
-        effective_dimension(k, 0.1, normalize_kappa=True, kappa_sq=0.0)
+        effective_dimension(k, 0.1, kappa_sq=0.0)
     with pytest.raises(ContractError):
         effective_dimension(k, 0.0)
 
