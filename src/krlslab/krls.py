@@ -30,9 +30,26 @@ class KrlsModel:
     lam: float
     kernel: KernelSpec
 
+    def __post_init__(self):
+        _check_expansion(self, "inputs")
+
     def predict(self, x):
         """Evaluate the fitted function. Scalar in, float out; array in, array out."""
         return _kernel_expansion(self.kernel, x, self.inputs, self.alpha)
+
+
+def _check_expansion(model, centers: str):
+    """Hold a dual-form model's centers and alpha as float arrays, with alpha
+    flat and finite and one entry per center row; float arrays are not copied."""
+    rows = np.asarray(getattr(model, centers), dtype=float)
+    alpha = np.asarray(model.alpha, dtype=float)
+    if alpha.ndim != 1 or alpha.shape != rows.shape[:1]:
+        raise ContractError(f"alpha of shape {alpha.shape} needs one entry per row of "
+                            f"{centers}, shape {rows.shape}")
+    if not np.isfinite(alpha).all():
+        raise ContractError("alpha must be finite")
+    object.__setattr__(model, centers, rows)
+    object.__setattr__(model, "alpha", alpha)
 
 
 def _row_blocks(n: int, cols: int):

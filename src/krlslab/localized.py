@@ -51,6 +51,13 @@ class LocalizedModel:
     lam: float
     cell_stats: CellStats
 
+    def __post_init__(self):
+        m = self.partition.m
+        if len(self.local_models) != m:
+            raise ContractError(f"local_models holds {len(self.local_models)} models for {m} cells")
+        if self.cell_stats.counts.shape != (m,):
+            raise ContractError(f"cell_stats holds {self.cell_stats.counts.size} counts for {m} cells")
+
     def predict(self, x):
         pts = kernels._as_points(x, self.partition.dim)
         _, index_sets = partition_mod._group(self.partition, pts)
@@ -69,6 +76,10 @@ class DistributedAverageModel:
     lam: float
     kernel: KernelSpec
     seed: object
+
+    def __post_init__(self):
+        if not self.models:
+            raise ContractError("models must hold at least one model")
 
     def predict(self, x):
         preds = [model.predict(x) for model in self.models]

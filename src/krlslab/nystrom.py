@@ -36,6 +36,13 @@ class NystromModel:
     kernel: KernelSpec
     seed: object
 
+    def __post_init__(self):
+        krls._check_expansion(self, "landmarks")
+        idx = np.asarray(self.landmark_indices, dtype=int)
+        if idx.shape != self.landmarks.shape[:1]:
+            raise ContractError("landmark_indices needs one entry per landmark")
+        object.__setattr__(self, "landmark_indices", idx)
+
     def predict(self, x):
         """Evaluate the fitted function. Scalar in, float out; array in, array out."""
         return krls._kernel_expansion(self.kernel, x, self.landmarks, self.alpha)

@@ -137,6 +137,12 @@ class CellStats:
     weights: np.ndarray
     index_sets: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=int))
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        sets = tuple(np.asarray(ix, dtype=int) for ix in self.index_sets)
+        object.__setattr__(self, "index_sets", sets)
+
     @property
     def min_count(self) -> int:
         return int(self.counts.min())

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import partition as partition_mod
+from . import kernels, partition as partition_mod
 from .exceptions import ContractError, EmptyInputError
 from .kernels import KernelSpec, brownian
 from .partition import Partition, grid_cell_bounds
@@ -104,7 +104,7 @@ class SobolevTarget:
         return _source_sum(self.coefficients, self.r)
 
     def __call__(self, x):
-        return _series(self.coefficients, np.asarray(x, dtype=float).reshape(-1))
+        return _series(self.coefficients, kernels._as_points(x, 1)[:, 0])
 
 
 def make_sobolev_target(
@@ -150,6 +150,10 @@ class PiecewiseTarget:
     def k_trunc(self) -> int:
         return self.cell_coefficients[0].shape[0]
 
+    @property
+    def cells(self) -> int:
+        return self.partition.m
+
     def cell_smoothness(self, j: int) -> float:
         return self.r_l if j in self.exceptional else self.r_h
 
@@ -171,7 +175,7 @@ class PiecewiseTarget:
         return width / (bhi - blo)
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=float).reshape(-1)
+        xs = kernels._as_points(x, 1)[:, 0]
         _, index_sets = partition_mod._group(self.partition, xs)
         out = np.zeros(xs.shape[0])
         for j, (coeffs, ix) in enumerate(zip(self.cell_coefficients, index_sets)):
@@ -232,6 +236,7 @@ class NoiseSpec:
     scale: float
 
     def __post_init__(self):
+        object.__setattr__(self, "scale", float(self.scale))
         if self.kind not in ("gaussian", "uniform_bounded"):
             raise ContractError(f"unknown noise kind {self.kind!r}")
         if self.scale < 0:
@@ -361,7 +366,7 @@ def gen_inputs(task: SyntheticTask, n: int, seed) -> np.ndarray:
 
 def sample_labels(task: SyntheticTask, x, seed) -> np.ndarray:
     """y_i = f(x_i) + noise_i with the task's noise law."""
-    xs = np.asarray(x, dtype=float).reshape(-1)
+    xs = kernels._as_points(x, 1)[:, 0]
     rng = np.random.default_rng(seed)
     clean = task.target(xs)
     if task.noise.scale == 0:

@@ -287,3 +287,15 @@ def test_fit_seed_changes_model(tmp_path, capsys):
         model = serialize.model_from_dict(json.loads(model_path.read_text()))
         outs.append(model.predict(0.5))
     assert outs[0] != outs[1]
+
+
+def test_predict_malformed_model_exits_one(tmp_path, capsys):
+    from krlslab import brownian, fit_krls
+
+    record = serialize.model_to_dict(fit_krls([0.2, 0.5, 0.8], [1.0, 2.0, 0.5], 1e-2, brownian()))
+    record["alpha"] = record["alpha"][:2]
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(record))
+    code, out, err = _run(capsys, "predict", "--model", str(model_path), "--points", "0.5")
+    assert code == 1 and out == ""
+    assert "error: alpha of shape (2,) needs one entry per row of inputs" in err

@@ -185,3 +185,197 @@ def test_target_coefficients_dump():
     pw = piecewise_task(0.1, 0.5, 1.0, 1.0, 4, {1}, NoiseSpec("gaussian", 0.1), k_trunc=5)
     dump = serialize.target_coefficients(pw.target)
     assert len(dump["cell_coefficients"]) == 4
+
+
+# Format-1 records exactly as the codec wrote them before partition records
+# kept unused fields as null. Each model was fit by the matching entry of
+# _FORMAT1_FITS on at most six points.
+_BROWNIAN = {
+    "family": "brownian", "domain": [[0.0, 1.0]],
+    "bandwidth": None, "degree": None, "offset": None,
+}
+_GAUSS_2D = {
+    "family": "gaussian", "domain": [[0.0, 1.0], [0.0, 1.0]],
+    "bandwidth": 0.5, "degree": None, "offset": None,
+}
+_X = [0.1, 0.25, 0.4, 0.55, 0.7, 0.85]
+_Y = [0.5, 0.9, 1.1, 0.7, 0.2, -0.3]
+_X2 = [[0.1, 0.2], [0.3, 0.1], [0.7, 0.9], [0.9, 0.6]]
+_Y2 = [1.0, 0.5, -0.5, 0.25]
+
+_FORMAT1_FITS = {
+    "krls": lambda: fit_krls(_X[:4], _Y[:4], 1e-2, brownian()),
+    "nystrom": lambda: fit_nystrom(_X, _Y, 1e-2, 3, 3, gaussian(0.3)),
+    "localized_nystrom": lambda: fit_localized_nystrom(
+        _X, _Y, build_grid_partition((0.0, 1.0), 2), 1e-2, 2, 5, brownian()
+    ),
+    "distributed_avg": lambda: fit_distributed_average(_X[:4], _Y[:4], 2, 1e-2, brownian(), 7),
+    "voronoi_empty_cell": lambda: fit_localized(
+        _X2, _Y2, build_voronoi_partition([[0.2, 0.2], [0.8, 0.8], [0.2, 0.8]]), 1e-2,
+        gaussian(0.5, ((0.0, 1.0), (0.0, 1.0))),
+    ),
+}
+
+_FORMAT1_MODELS = {
+    "krls": {
+        "format": "krlslab-model/1", "type": "krls",
+        "inputs": [[0.1], [0.25], [0.4], [0.55]],
+        "alpha": [1.6581481432692682, 1.6134258954329306, 2.6190507554700786,
+                  -1.5538840514799843],
+        "lambda": 0.01, "kernel": _BROWNIAN,
+    },
+    "nystrom": {
+        "format": "krlslab-model/1", "type": "nystrom",
+        "landmarks": [[0.1], [0.25], [0.55]], "landmark_indices": [0, 1, 3],
+        "alpha": [-2.387906332303872, 3.538237633379408, -0.7571216470060096],
+        "lambda": 0.01, "seed": 3,
+        "kernel": {"family": "gaussian", "domain": [[0.0, 1.0]],
+                   "bandwidth": 0.3, "degree": None, "offset": None},
+    },
+    "localized_nystrom": {
+        "format": "krlslab-model/1", "type": "localized",
+        "partition": {"scheme": "grid", "box": [[0.0, 1.0]], "cells_per_dim": [2]},
+        "locals": [
+            {"format": "krlslab-model/1", "type": "nystrom",
+             "landmarks": [[0.4], [0.25]], "landmark_indices": [2, 1],
+             "alpha": [1.1827956989247268, 2.365591397849468],
+             "lambda": 0.01, "kernel": _BROWNIAN, "seed": [5, 0]},
+            {"format": "krlslab-model/1", "type": "nystrom",
+             "landmarks": [[0.55], [0.85]], "landmark_indices": [0, 2],
+             "alpha": [3.7651625424550983, -2.688015526443458],
+             "lambda": 0.01, "kernel": _BROWNIAN, "seed": [5, 1]},
+        ],
+        "lambda": 0.01,
+        "cell_stats": {"counts": [3, 3], "weights": [0.5, 0.5],
+                       "index_sets": [[0, 1, 2], [3, 4, 5]]},
+    },
+    "distributed_avg": {
+        "format": "krlslab-model/1", "type": "distributed_avg",
+        "models": [
+            {"format": "krlslab-model/1", "type": "krls", "inputs": [[0.1], [0.4]],
+             "alpha": [2.4752475247524752, 2.0297029702970297],
+             "lambda": 0.01, "kernel": _BROWNIAN},
+            {"format": "krlslab-model/1", "type": "krls", "inputs": [[0.25], [0.55]],
+             "alpha": [3.698030634573303, -0.39387308533916804],
+             "lambda": 0.01, "kernel": _BROWNIAN},
+        ],
+        "lambda": 0.01, "kernel": _BROWNIAN, "seed": 7,
+    },
+    "voronoi_empty_cell": {
+        "format": "krlslab-model/1", "type": "localized",
+        "partition": {"scheme": "voronoi", "centers": [[0.2, 0.2], [0.8, 0.8], [0.2, 0.8]]},
+        "locals": [
+            {"format": "krlslab-model/1", "type": "krls", "inputs": [[0.1, 0.2], [0.3, 0.1]],
+             "alpha": [2.5604872974630157, -1.7812007011277522],
+             "lambda": 0.01, "kernel": _GAUSS_2D},
+            {"format": "krlslab-model/1", "type": "krls", "inputs": [[0.7, 0.9], [0.9, 0.6]],
+             "alpha": [-1.5761275682287208, 1.4365447655994845],
+             "lambda": 0.01, "kernel": _GAUSS_2D},
+            {"format": "krlslab-model/1", "type": "zero"},
+        ],
+        "lambda": 0.01,
+        "cell_stats": {"counts": [2, 2, 0], "weights": [0.5, 0.5, 0.0],
+                       "index_sets": [[0, 1], [2, 3], []]},
+    },
+}
+
+_SOBOLEV_RECORD = {
+    "format": "krlslab-task/1",
+    "target": {"kind": "sobolev", "r": 0.4, "R": 1.5, "k_trunc": 3},
+    "noise": {"kind": "gaussian", "scale": 0.2},
+    "kernel": _BROWNIAN, "gamma": 0.5, "marginal": ["uniform", 0.2, 0.9],
+}
+_PIECEWISE_RECORD = {
+    "format": "krlslab-task/1",
+    "target": {"kind": "piecewise", "r_l": 0.1, "r_h": 0.5, "R_l": 0.25, "R_h": 1.0,
+               "cells": 4, "exceptional": [1], "k_trunc": 3},
+    "noise": {"kind": "uniform_bounded", "scale": 2.0},
+    "kernel": _BROWNIAN, "gamma": 0.5, "marginal": ["uniform", 0.0, 1.0],
+}
+_CONFIG_RECORD = {
+    "task": _SOBOLEV_RECORD, "estimators": ["krls", "localized"], "n_grid": [64, 128],
+    "replications": 2, "n_test": 100, "master_seed": 11, "lambdas": None, "ms": [2, 4],
+    "ls": None, "output_path": "out", "experiment": "rate",
+}
+
+
+def _without_nulls(record):
+    if isinstance(record, dict):
+        return {k: _without_nulls(v) for k, v in record.items()
+                if not (k in ("box", "cells_per_dim", "centers") and v is None)}
+    if isinstance(record, list):
+        return [_without_nulls(v) for v in record]
+    return record
+
+
+@pytest.mark.parametrize("name", sorted(_FORMAT1_MODELS))
+def test_format1_model_records_decode(name):
+    literal = _FORMAT1_MODELS[name]
+    back = serialize.model_from_dict(literal)
+    model = _FORMAT1_FITS[name]()
+    dim = model.partition.dim if hasattr(model, "partition") else 1
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, (33, dim))
+    np.testing.assert_array_equal(back.predict(pts), model.predict(pts))
+    # Writing the decoded model again adds only null partition fields.
+    assert _without_nulls(serialize.model_to_dict(back)) == literal
+
+
+def test_format1_empty_voronoi_cell_predicts_zero():
+    back = serialize.model_from_dict(_FORMAT1_MODELS["voronoi_empty_cell"])
+    assert back.predict([[0.2, 0.8]]).tolist() == [0.0]
+
+
+def test_format1_task_and_config_records_decode():
+    sob = sobolev_task(0.4, 1.5, NoiseSpec("gaussian", 0.2),
+                       marginal=("uniform", 0.2, 0.9), k_trunc=3)
+    pw = piecewise_task(0.1, 0.5, 0.25, 1.0, 4, {1}, NoiseSpec("uniform_bounded", 2.0),
+                        k_trunc=3)
+    for literal, task in ((_SOBOLEV_RECORD, sob), (_PIECEWISE_RECORD, pw)):
+        back = serialize.task_from_dict(literal)
+        assert serialize.task_to_dict(back) == literal
+        xs = np.linspace(0.0, 1.0, 17)
+        np.testing.assert_array_equal(back.target(xs), task.target(xs))
+    config = serialize.config_from_dict(_CONFIG_RECORD)
+    assert serialize.config_to_dict(config) == _CONFIG_RECORD
+    np.testing.assert_array_equal(config.task.target.coefficients, sob.target.coefficients)
+
+
+def _drop(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+def _three_locals_for_four_cells():
+    part = build_grid_partition((0.0, 1.0), 4)
+    model = fit_localized(np.linspace(0.05, 0.95, 8), np.arange(8.0), part, 1e-2, brownian())
+    record = serialize.model_to_dict(model)
+    return {**record, "locals": record["locals"][:3]}
+
+
+_KRLS = _FORMAT1_MODELS["krls"]
+_MALFORMED = {
+    "missing_key": (lambda: _drop(_KRLS, "kernel"), "missing fields: kernel"),
+    "unknown_key": (lambda: {**_KRLS, "extra": 1}, "unknown fields: extra"),
+    "missing_type": (lambda: _drop(_KRLS, "type"), "no known type"),
+    "short_alpha": (lambda: {**_KRLS, "alpha": _KRLS["alpha"][:3]}, "alpha of shape"),
+    "nan_alpha": (lambda: {**_KRLS, "alpha": [float("nan")] * 4}, "alpha must be finite"),
+    "three_locals_for_four_cells": (
+        _three_locals_for_four_cells, "local_models holds 3 models for 4 cells"
+    ),
+    "empty_models": (
+        lambda: {**_FORMAT1_MODELS["distributed_avg"], "models": []},
+        "models must hold at least one model",
+    ),
+    "target_without_R": (
+        lambda: {**_SOBOLEV_RECORD, "target": _drop(_SOBOLEV_RECORD["target"], "R")},
+        "missing fields: R$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_records_raise_contract_error(case):
+    build, message = _MALFORMED[case]
+    record = build()
+    decode = serialize.task_from_dict if "target" in record else serialize.model_from_dict
+    with pytest.raises(ContractError, match=message):
+        decode(record)

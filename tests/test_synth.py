@@ -85,6 +85,17 @@ def test_target_evaluation_memory_is_linear_in_points():
     assert peak < 4 * 2**20
 
 
+def test_targets_and_labels_read_points_like_kernels():
+    # (n,) and (n, 1) are the same n points; (n, 2) is not 1-d input
+    sob = sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.1))
+    pw = piecewise_task(0.1, 0.5, 0.25, 1.0, 4, {1}, NoiseSpec("gaussian", 0.1))
+    x = np.linspace(0.05, 0.95, 5)
+    for call in (sob.target, pw.target, lambda pts: sample_labels(sob, pts, 3)):
+        np.testing.assert_array_equal(call(x[:, None]), call(x))
+        with pytest.raises(ContractError, match="2 coordinates, expected 1"):
+            call(np.full((5, 2), 0.3))
+
+
 def test_sobolev_coefficient_profile():
     target = make_sobolev_target(0.5, 1.0, k_trunc=10)
     mu = mercer_eigenvalues(10)
