@@ -4,9 +4,11 @@ timing benchmarks, and report files.
 A rate experiment fits each configured estimator over an ascending n grid
 with scheduled (or explicitly listed) parameters, replicated under derived
 seeds, and summarizes each estimator by the OLS slope of log mean-MISE
-against log n next to the theoretical exponent. Every (estimator, n, rep)
-unit derives its own seed from the master seed, so runs are deterministic
-and units are independent; a fit failure taints only its own row.
+against log n next to the theoretical exponent; a schedule comparison runs
+it once per smoothness schedule. Every (estimator, n, rep) unit draws its
+data from seeds derived from the master seed, so runs are deterministic and
+units are independent; a fit failure taints only its own row. ``rows.csv``
+has one column per field of :class:`Row`.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import json
 import math
 import pathlib
 import time
+import typing
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -35,8 +38,6 @@ from .synth import SyntheticTask, gen_inputs, mise_estimate, sample_labels
 from .theory import l_schedule, lambda_schedule, m_schedule, rate_exponent
 
 ESTIMATORS = ("krls", "localized", "nystrom", "localized_nystrom", "distributed_avg")
-
-CSV_HEADER = "estimator,n,m,l,lambda,rep,mise,fit_seconds,min_cell_count,warning"
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,11 @@ class Row:
         return self.warning.startswith("error:")
 
 
+_ROW_FIELDS = fields(Row)
+_CSV_KEYS = [{"lam": "lambda"}.get(f.name, f.name) for f in _ROW_FIELDS]
+CSV_HEADER = ",".join(_CSV_KEYS)
+
+
 @dataclass(frozen=True)
 class RateReport:
     """Rows plus per-estimator (slope, stderr) and the theoretical exponent.
@@ -145,12 +151,12 @@ def _seed_int(seed_seq) -> int:
     return int(seed_seq.generate_state(1, np.uint64)[0])
 
 
-def schedule_values(config: ExperimentConfig, i: int, r: float | None = None):
+def schedule_values(config: ExperimentConfig, i: int):
     """(lambda, m, l) for grid position i; a per-n list overrides its schedule."""
     n, params = config.n_grid[i], config.task.model_params()
-    lam = config.lambdas[i] if config.lambdas else lambda_schedule(n, params, r=r)
-    m = config.ms[i] if config.ms else m_schedule(n, params, r=r)
-    l = config.ls[i] if config.ls else l_schedule(n, params, r=r)
+    lam = config.lambdas[i] if config.lambdas else lambda_schedule(n, params)
+    m = config.ms[i] if config.ms else m_schedule(n, params)
+    l = config.ls[i] if config.ls else l_schedule(n, params)
     if not lam > 0:
         raise ContractError("scheduled lambda must be positive")
     if m < 1 or l < 1:
@@ -185,21 +191,23 @@ def fit_estimator(estimator: str, task: SyntheticTask, x, y, lam, m, l, fit_seed
     raise ContractError(f"unknown estimator {estimator!r}")
 
 
-def _run_units(config: ExperimentConfig, estimators, lam_for):
-    """Shared loop over (estimator, n, rep). lam_for(i) -> per-n lambda."""
+def _unit_data(config: ExperimentConfig, estimator: str, n: int, rep: int):
+    """One unit's training pairs and its fit and test seeds: (x, y, fit, test)."""
+    data_s, label_s, fit_s, test_s = row_seeds(config.master_seed, estimator, n, rep)
+    x = gen_inputs(config.task, n, data_s)
+    return x, sample_labels(config.task, x, label_s), fit_s, test_s
+
+
+def _run_units(config: ExperimentConfig):
+    """One row per (estimator, n, rep), fitted and scored on its own draw."""
     rows = []
-    for estimator in estimators:
+    for estimator in config.estimators:
         for i, n in enumerate(config.n_grid):
-            lam, m, l = lam_for(i)
+            lam, m, l = schedule_values(config, i)
             for rep in range(config.replications):
-                data_s, label_s, fit_s, test_s = row_seeds(
-                    config.master_seed, estimator, n, rep
-                )
-                x = gen_inputs(config.task, n, data_s)
-                y = sample_labels(config.task, x, label_s)
+                x, y, fit_s, test_s = _unit_data(config, estimator, n, rep)
                 warning = ""
-                mise = math.nan
-                fit_seconds = math.nan
+                mise = fit_seconds = math.nan
                 used_m = used_l = mcc = None
                 try:
                     tic = time.perf_counter()
@@ -213,18 +221,7 @@ def _run_units(config: ExperimentConfig, estimators, lam_for):
                 except Exception as exc:  # keep the grid running; taint this row only
                     warning = f"error:{type(exc).__name__}: {exc}"
                 rows.append(
-                    Row(
-                        estimator=estimator,
-                        n=n,
-                        m=used_m,
-                        l=used_l,
-                        lam=lam,
-                        rep=rep,
-                        mise=mise,
-                        fit_seconds=fit_seconds,
-                        min_cell_count=mcc,
-                        warning=warning,
-                    )
+                    Row(estimator, n, used_m, used_l, lam, rep, mise, fit_seconds, mcc, warning)
                 )
     return rows
 
@@ -274,25 +271,21 @@ def _slopes(rows, estimators):
 
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     """Fit every configured estimator across the n grid and summarize slopes."""
-    rows = _run_units(config, config.estimators, lambda i: schedule_values(config, i))
-    params = config.task.model_params()
-    return RateReport(
-        rows=tuple(rows),
-        slopes=_slopes(rows, config.estimators),
-        theoretical_exponent=rate_exponent(params),
-    )
+    rows = _run_units(config)
+    exponent = rate_exponent(config.task.model_params())
+    return RateReport(tuple(rows), _slopes(rows, config.estimators), exponent)
 
 
 def run_improved_bound_experiment(config: ExperimentConfig):
     """Schedule comparison on a two-smoothness task; returns (rough, smooth).
 
-    Runs the localized estimator twice on identical data streams: once with
-    the lambda schedule driven by the low smoothness r_l and once by the
-    high smoothness r_h. Everything else (partition size, seeds, test
-    draws) is shared, so replications pair exactly. The exceptional-mass
+    Each arm is the localized rate experiment with lambdas listed from the
+    schedule of the low smoothness r_l or the high smoothness r_h, and the
+    theoretical exponent of that r. Everything else (partition size, seeds,
+    test draws) is shared, so replications pair exactly. The exceptional-mass
     bound is checked at the largest n before any fitting. Since each arm
-    sets its own lambda and fits only "localized", a config listing
-    ``lambdas`` or other estimators is rejected.
+    sets its own lambda, a config listing ``lambdas`` or other estimators is
+    rejected.
     """
     if config.lambdas is not None:
         raise ContractError("improved-bound runs set lambda per arm; drop lambdas")
@@ -309,18 +302,10 @@ def run_improved_bound_experiment(config: ExperimentConfig):
         )
     params = config.task.model_params()
 
-    def arm(r_value):
-        # Only lambda differs between arms; m and l follow the shared schedule.
-        def lam_for(i):
-            _, m, l = schedule_values(config, i)
-            return lambda_schedule(config.n_grid[i], params, r=r_value), m, l
-
-        rows = _run_units(config, ("localized",), lam_for)
-        return RateReport(
-            rows=tuple(rows),
-            slopes=_slopes(rows, ("localized",)),
-            theoretical_exponent=rate_exponent(params, r=r_value),
-        )
+    def arm(r):
+        lambdas = [lambda_schedule(n, params, r=r) for n in config.n_grid]
+        report = run_rate_experiment(replace(config, lambdas=lambdas))
+        return replace(report, theoretical_exponent=rate_exponent(params, r=r))
 
     return arm(target.r_l), arm(target.r_h)
 
@@ -376,9 +361,7 @@ def run_timing_benchmark(config: ExperimentConfig, repeats: int = 5) -> TimingTa
     for estimator in config.estimators:
         for i, n in enumerate(config.n_grid):
             lam, m, l = schedule_values(config, i)
-            data_s, label_s, fit_s, _ = row_seeds(config.master_seed, estimator, n, 0)
-            x = gen_inputs(config.task, n, data_s)
-            y = sample_labels(config.task, x, label_s)
+            x, y, fit_s, _ = _unit_data(config, estimator, n, 0)
             times = []
             for _ in range(repeats):
                 tic = time.perf_counter()
@@ -393,16 +376,18 @@ def run_timing_benchmark(config: ExperimentConfig, repeats: int = 5) -> TimingTa
     return TimingTable(rows=tuple(rows), scaling_exponents=exponents)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _cell_text(value) -> str:
+    """A Row value as its rows.csv cell: None is empty, a float its repr."""
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
-def _parse_opt_int(text: str):
-    return int(text) if text else None
+def _parse_cell(where: str, key: str, hint, text: str):
+    """A rows.csv cell as its Row field's type; empty is None where allowed."""
+    kinds = typing.get_args(hint) or (hint,)
+    try:
+        return None if not text and type(None) in kinds else kinds[0](text)
+    except ValueError:
+        raise ContractError(f"{where}: column {key} cannot hold {text!r}") from None
 
 
 def report_summary(report: RateReport) -> dict:
@@ -438,22 +423,9 @@ def emit_report(report: RateReport, path, task: SyntheticTask | None = None):
     ordered = sorted(report.rows, key=lambda r: (r.estimator, r.n, r.rep))
     with open(rows_path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for r in ordered:
-            writer.writerow(
-                [
-                    r.estimator,
-                    r.n,
-                    _fmt(r.m),
-                    _fmt(r.l),
-                    _fmt(r.lam),
-                    r.rep,
-                    _fmt(r.mise),
-                    _fmt(r.fit_seconds),
-                    _fmt(r.min_cell_count),
-                    r.warning,
-                ]
-            )
+        csv.writer(fh, lineterminator="\n").writerows(
+            [_cell_text(getattr(r, f.name)) for f in _ROW_FIELDS] for r in ordered
+        )
     with open(out / "summary.json", "w") as fh:
         json.dump(report_summary(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -474,28 +446,19 @@ def parse_report(path) -> RateReport:
     """
     out = pathlib.Path(path)
     rows_path = out if out.suffix == ".csv" else out / "rows.csv"
+    hints = typing.get_type_hints(Row)
     rows = []
     with open(rows_path, newline="") as fh:
         header = fh.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise ContractError(f"unexpected CSV header {header!r}")
-        for record in csv.reader(fh):
-            if not record:
-                continue
-            rows.append(
-                Row(
-                    estimator=record[0],
-                    n=int(record[1]),
-                    m=_parse_opt_int(record[2]),
-                    l=_parse_opt_int(record[3]),
-                    lam=float(record[4]),
-                    rep=int(record[5]),
-                    mise=float(record[6]),
-                    fit_seconds=float(record[7]),
-                    min_cell_count=_parse_opt_int(record[8]),
-                    warning=record[9],
-                )
-            )
+        reader = csv.reader(fh)
+        for record in filter(None, reader):
+            where = f"{rows_path.name} line {reader.line_num + 1}"
+            if len(record) != len(_ROW_FIELDS):
+                raise ContractError(f"{where} has {len(record)} cells, not {len(_ROW_FIELDS)}")
+            cells = zip(_CSV_KEYS, [hints[f.name] for f in _ROW_FIELDS], record)
+            rows.append(Row(*(_parse_cell(where, *cell) for cell in cells)))
     summary_path = rows_path.parent / "summary.json"
     exponent = None
     if summary_path.exists():

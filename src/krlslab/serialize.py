@@ -6,8 +6,10 @@ its dataclass. A record's keys are the field names, except ``lambda`` for
 and floats stay Python floats, which json keeps exactly. Model and task
 records open with a format tag, and a model record names its ``type``. A
 target is stored as the keyword arguments of the task factory that builds
-it. A missing or unknown key raises ContractError naming the key; every
-other check is the constructor's own.
+it. A missing or unknown key, or a float, int or str field that does not
+hold a JSON number, integer or string, raises ContractError naming the
+key; every other check is the constructor's own, and a TypeError or
+ValueError it raises becomes a ContractError naming the record.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .localized import DistributedAverageModel, LocalizedModel, ZeroModel
 from .nystrom import NystromModel
 from .partition import Partition
 from .synth import (
-    NoiseSpec,
     PiecewiseTarget,
     SobolevTarget,
     SyntheticTask,
@@ -50,6 +51,8 @@ _HEADERS[SyntheticTask] = {"format": TASK_FORMAT}
 _TARGET_KINDS = {SobolevTarget: "sobolev", PiecewiseTarget: "piecewise"}
 _FACTORIES = {"sobolev": sobolev_task, "piecewise": piecewise_task}
 _KEYS = {"lam": "lambda", "local_models": "locals"}  # field name -> record key
+# field type -> the JSON values it takes (bools excluded) and their name
+_SCALARS = {float: ((int, float), "number"), int: (int, "integer"), str: (str, "string")}
 
 
 def _target_args(kind: str) -> list:
@@ -99,17 +102,33 @@ def _untag(data, fmt: str) -> dict:
     return {key: val for key, val in data.items() if key != "format"}
 
 
-def _decode(hint, value):
+def _decode(label: str, key: str, hint, value):
     """A field's JSON value as its constructor takes it: a list of objects
-    holds models, an object is a record of the field's dataclass, and any
-    other value is left for the constructor to coerce and check."""
+    holds models, an object is a record of the field's dataclass, a float,
+    int or str field takes a JSON number, integer or string (or null if its
+    hint allows None), and any other value is left to the constructor."""
     if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
         return tuple(model_from_dict(item) for item in value)
     if hint is SyntheticTask:
         return task_from_dict(value)
     if dataclasses.is_dataclass(hint):
         return _from_record(hint, value)
+    kinds = typing.get_args(hint) or (hint,)
+    scalar = next((_SCALARS[k] for k in kinds if k in _SCALARS), None)
+    if scalar and not (value is None and type(None) in kinds):
+        if isinstance(value, bool) or not isinstance(value, scalar[0]):
+            raise ContractError(f"{label} field {key} must be a JSON {scalar[1]}: {value!r}")
     return value
+
+
+def _build(label: str, make, **kwargs):
+    """``make(**kwargs)``; a TypeError or ValueError it raises names the record."""
+    try:
+        return make(**kwargs)
+    except ContractError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"{label} record: {exc}") from exc
 
 
 def _from_record(cls, data):
@@ -118,9 +137,11 @@ def _from_record(cls, data):
     if cls is Partition and isinstance(data, dict):
         # format 1 first wrote only the fields the scheme uses
         data = {**dict.fromkeys(("box", "cells_per_dim", "centers")), **data}
-    _check_keys(cls.__name__, data, keys)
+    label = cls.__name__
+    _check_keys(label, data, keys)
     hints = typing.get_type_hints(cls)
-    return cls(**{name: _decode(hints[name], data[key]) for key, name in keys.items()})
+    args = {name: _decode(label, key, hints[name], data[key]) for key, name in keys.items()}
+    return _build(label, cls, **args)
 
 
 def kernel_to_dict(spec: KernelSpec) -> dict:
@@ -146,18 +167,20 @@ def task_to_dict(task: SyntheticTask) -> dict:
 def task_from_dict(data: dict) -> SyntheticTask:
     """Rebuild a task by its factory, then restore its kernel and gamma."""
     body = _untag(data, TASK_FORMAT)
-    _check_keys("task", body, [f.name for f in dataclasses.fields(SyntheticTask)])
-    target = body["target"]
+    hints = typing.get_type_hints(SyntheticTask)
+    _check_keys("task", body, hints)
+    target = body.pop("target")
     kind = target.get("kind") if isinstance(target, dict) else None
-    if kind not in _FACTORIES:
+    if not isinstance(kind, str) or kind not in _FACTORIES:
         raise ContractError(f"unknown target kind {kind!r}")
-    args = {key: val for key, val in target.items() if key != "kind"}
-    _check_keys(f"{kind} target", args, _target_args(kind))
-    task = _FACTORIES[kind](
-        **args, noise=_from_record(NoiseSpec, body["noise"]), marginal=tuple(body["marginal"])
-    )
-    kernel = _from_record(KernelSpec, body["kernel"])
-    return dataclasses.replace(task, kernel=kernel, gamma=body["gamma"])
+    label, factory, names = f"{kind} target", _FACTORIES[kind], _target_args(kind)
+    _check_keys(label, target, ["kind", *names])
+    types = typing.get_type_hints(factory)
+    args = {key: _decode(label, key, types.get(key), target[key]) for key in names}
+    body = {key: _decode("task", key, hints[key], val) for key, val in body.items()}
+    kernel, gamma = body.pop("kernel"), body.pop("gamma")
+    task = _build("task", factory, **args, **body)
+    return dataclasses.replace(task, kernel=kernel, gamma=gamma)
 
 
 def target_coefficients(target) -> dict:
@@ -179,7 +202,7 @@ def model_to_dict(model) -> dict:
 def model_from_dict(data: dict):
     body = _untag(data, MODEL_FORMAT)
     kind = body.pop("type", None)
-    if kind not in _MODELS:
+    if not isinstance(kind, str) or kind not in _MODELS:
         raise ContractError(f"model record has no known type: type={kind!r}")
     return _from_record(_MODELS[kind], body)
 

@@ -299,3 +299,29 @@ def test_predict_malformed_model_exits_one(tmp_path, capsys):
     code, out, err = _run(capsys, "predict", "--model", str(model_path), "--points", "0.5")
     assert code == 1 and out == ""
     assert "error: alpha of shape (2,) needs one entry per row of inputs" in err
+
+
+def test_predict_wrong_json_type_exits_one(tmp_path, capsys):
+    from krlslab import brownian, fit_krls
+
+    record = serialize.model_to_dict(fit_krls([0.2, 0.5, 0.8], [1.0, 2.0, 0.5], 1e-2, brownian()))
+    record["lambda"] = "0.01"
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(record))
+    code, out, err = _run(capsys, "predict", "--model", str(model_path), "--points", "0.5")
+    assert code == 1 and out == ""
+    assert err == "error: KrlsModel field lambda must be a JSON number: '0.01'\n"
+
+
+@pytest.mark.parametrize(
+    "row, column",
+    [("krls,abc,,,0.1,0,1.0,0.01,,", "column n"), ("krls,64,,,0.1,0", "has 6 cells")],
+    ids=["non_numeric_n", "short_row"],
+)
+def test_report_malformed_rows_exits_one(tmp_path, capsys, row, column):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(harness.CSV_HEADER + "\n" + row + "\n")
+    code, out, err = _run(capsys, "report", "--path", str(rows))
+    assert code == 1 and out == ""
+    assert err.startswith("error: rows.csv line 2") and column in err
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """Experiment harness: configs, seeding, slopes, reports, timing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from krlslab import (
     paired_contrast,
     parse_report,
     piecewise_task,
+    rate_exponent,
     row_seeds,
     run_improved_bound_experiment,
     run_rate_experiment,
@@ -354,6 +356,58 @@ def test_parse_rejects_foreign_header(tmp_path):
     (target / "rows.csv").write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ContractError):
         parse_report(target)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("krls,abc,,,0.1,0,1.0,0.01,,", r"line 2: column n cannot hold 'abc'"),
+        ("krls,64,,,0.1,0", "line 2 has 6 cells, not 10"),
+    ],
+    ids=["non_numeric_n", "short_row"],
+)
+def test_parse_rejects_malformed_rows(tmp_path, row, message):
+    (tmp_path / "rows.csv").write_text(CSV_HEADER + "\n" + row + "\n")
+    with pytest.raises(ContractError, match=message):
+        parse_report(tmp_path)
+
+
+# None cells, a NaN MISE, and a warning with a comma and quotes in it.
+_ROWS_CSV = (
+    "estimator,n,m,l,lambda,rep,mise,fit_seconds,min_cell_count,warning\n"
+    'krls,64,,,0.125,0,nan,nan,,"error:ValueError: cell 3, pivot ""1e-18"""\n'
+    "localized_nystrom,128,4,16,0.0625,1,0.001953125,0.5,0,empty_cell\n"
+)
+
+
+def test_rows_csv_format_is_pinned(tmp_path):
+    (tmp_path / "in.csv").write_text(_ROWS_CSV)
+    report = parse_report(tmp_path / "in.csv")
+    first = report.rows[0]
+    assert (first.m, first.l, first.min_cell_count) == (None, None, None)
+    assert math.isnan(first.mise) and first.failed
+    assert first.warning == 'error:ValueError: cell 3, pivot "1e-18"'
+    assert report.rows[1] == Row(
+        "localized_nystrom", 128, 4, 16, 0.0625, 1, 0.001953125, 0.5, 0, "empty_cell"
+    )
+    rows_path, _ = emit_report(report, tmp_path / "out")
+    assert rows_path.read_text() == _ROWS_CSV
+
+
+def test_improved_bound_arms_are_listed_lambda_rate_runs():
+    task = piecewise_task(0.1, 0.5, 0.25, 1.0, 8, {3}, NoiseSpec("gaussian", 1.0))
+    cfg = _config(
+        task=task, estimators=("localized",), n_grid=(128, 256), replications=2,
+        n_test=200, experiment="improved_bound", ms=(4, 4),
+    )
+    params = task.model_params()
+    for arm, r in zip(run_improved_bound_experiment(cfg), (0.1, 0.5)):
+        lambdas = [lambda_schedule(n, params, r=r) for n in cfg.n_grid]
+        listed = run_rate_experiment(dataclasses.replace(cfg, lambdas=lambdas))
+        untimed = [dataclasses.replace(row, fit_seconds=0.0) for row in arm.rows]
+        assert untimed == [dataclasses.replace(row, fit_seconds=0.0) for row in listed.rows]
+        assert arm.slopes == listed.slopes
+        assert arm.theoretical_exponent == rate_exponent(params, r=r)
 
 
 def test_timing_benchmark_scales_up():

@@ -369,6 +369,25 @@ _MALFORMED = {
         lambda: {**_SOBOLEV_RECORD, "target": _drop(_SOBOLEV_RECORD["target"], "R")},
         "missing fields: R$",
     ),
+    "type_list": (lambda: {**_KRLS, "type": ["krls"]}, r"no known type: type=\['krls'\]"),
+    "ragged_inputs": (
+        lambda: {**_KRLS, "inputs": [[0.1], [0.2, 0.3], [0.4], [0.5]]},
+        "KrlsModel record: .*inhomogeneous",
+    ),
+    "string_lambda": (
+        lambda: {**_KRLS, "lambda": "0.1"}, "KrlsModel field lambda must be a JSON number"
+    ),
+    "two_entry_marginal": (
+        lambda: {**_PIECEWISE_RECORD, "marginal": ["uniform", 0.0]},
+        r"task record: not enough values to unpack",
+    ),
+    "string_r": (
+        lambda: {**_SOBOLEV_RECORD, "target": {**_SOBOLEV_RECORD["target"], "r": "0.5"}},
+        "sobolev target field r must be a JSON number",
+    ),
+    "string_gamma": (
+        lambda: {**_SOBOLEV_RECORD, "gamma": "0.5"}, "task field gamma must be a JSON number"
+    ),
 }
 
 
