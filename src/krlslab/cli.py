@@ -42,8 +42,7 @@ def _write_json(payload, path: str | None):
 
 
 def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+    return json.loads(harness.read_text(path))
 
 
 def _cmd_synth(args) -> int:

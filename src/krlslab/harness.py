@@ -14,6 +14,7 @@ has one column per field of :class:`Row`.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import pathlib
@@ -421,12 +422,12 @@ def emit_report(report: RateReport, path, task: SyntheticTask | None = None):
     out.mkdir(parents=True, exist_ok=True)
     rows_path = out / "rows.csv"
     ordered = sorted(report.rows, key=lambda r: (r.estimator, r.n, r.rep))
-    with open(rows_path, "w", newline="") as fh:
+    with open(rows_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         csv.writer(fh, lineterminator="\n").writerows(
             [_cell_text(getattr(r, f.name)) for f in _ROW_FIELDS] for r in ordered
         )
-    with open(out / "summary.json", "w") as fh:
+    with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(report_summary(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if task is not None:
@@ -436,6 +437,18 @@ def emit_report(report: RateReport, path, task: SyntheticTask | None = None):
             json.dump(serialize.target_coefficients(task.target), fh, indent=2)
             fh.write("\n")
     return rows_path, out / "summary.json"
+
+
+def read_text(path) -> str:
+    """A file's text, decoded as UTF-8 with line ends kept as written.
+
+    Bytes that are not UTF-8 raise ContractError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def parse_report(path) -> RateReport:
@@ -448,21 +461,28 @@ def parse_report(path) -> RateReport:
     rows_path = out if out.suffix == ".csv" else out / "rows.csv"
     hints = typing.get_type_hints(Row)
     rows = []
-    with open(rows_path, newline="") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CSV_HEADER:
-            raise ContractError(f"unexpected CSV header {header!r}")
-        reader = csv.reader(fh)
-        for record in filter(None, reader):
-            where = f"{rows_path.name} line {reader.line_num + 1}"
-            if len(record) != len(_ROW_FIELDS):
-                raise ContractError(f"{where} has {len(record)} cells, not {len(_ROW_FIELDS)}")
-            cells = zip(_CSV_KEYS, [hints[f.name] for f in _ROW_FIELDS], record)
-            rows.append(Row(*(_parse_cell(where, *cell) for cell in cells)))
+    fh = io.StringIO(read_text(rows_path), newline="")
+    header = fh.readline().rstrip("\n")
+    if header != CSV_HEADER:
+        raise ContractError(f"unexpected CSV header {header!r}")
+    reader = csv.reader(fh)
+    for record in filter(None, reader):
+        where = f"{rows_path.name} line {reader.line_num + 1}"
+        if len(record) != len(_ROW_FIELDS):
+            raise ContractError(f"{where} has {len(record)} cells, not {len(_ROW_FIELDS)}")
+        cells = zip(_CSV_KEYS, [hints[f.name] for f in _ROW_FIELDS], record)
+        rows.append(Row(*(_parse_cell(where, *cell) for cell in cells)))
     summary_path = rows_path.parent / "summary.json"
     exponent = None
     if summary_path.exists():
-        with open(summary_path) as fh:
-            exponent = json.load(fh).get("theoretical_exponent")
+        summary = json.loads(read_text(summary_path))
+        if not isinstance(summary, dict):
+            raise ContractError(f"{summary_path.name} must hold a JSON object")
+        exponent = summary.get("theoretical_exponent")
+        if exponent is not None and type(exponent) not in (int, float):
+            raise ContractError(
+                f"{summary_path.name}: theoretical_exponent must be a number or null, "
+                f"not {exponent!r}"
+            )
     slopes = _slopes(rows, sorted({r.estimator for r in rows}))
     return RateReport(rows=tuple(rows), slopes=slopes, theoretical_exponent=exponent)

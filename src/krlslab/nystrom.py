@@ -7,7 +7,7 @@ solve the explicit normal equations
     (K_nl^T K_nl + n * lam * K_ll) alpha = K_nl^T y
 
 whose left and right sides are accumulated over row blocks of K_nl of the
-size ``krls`` predicts in, so the n x l cross-Gram is never stored whole.
+size ``krls._row_blocks`` gives, so the n x l cross-Gram is never stored whole.
 They are solved by Cholesky, falling back to an eigenvalue-truncated
 pseudo-inverse when factorization or its residual check fails, so
 rank-deficient landmark sets (duplicate coordinates, l near the numerical

@@ -325,3 +325,53 @@ def test_report_malformed_rows_exits_one(tmp_path, capsys, row, column):
     assert code == 1 and out == ""
     assert err.startswith("error: rows.csv line 2") and column in err
     assert "Traceback" not in err
+
+
+def test_report_non_utf8_rows_exits_one(tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    row = "krls,64,,,0.1,0,1.0,0.01,,caf\xe9"
+    rows.write_bytes((harness.CSV_HEADER + "\n" + row + "\n").encode("latin-1"))
+    code, out, err = _run(capsys, "report", "--path", str(rows))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {rows} is not UTF-8 text")
+    assert "Traceback" not in err
+
+
+def test_predict_non_utf8_model_exits_one(tmp_path, capsys):
+    from krlslab import brownian, fit_krls
+
+    record = serialize.model_to_dict(fit_krls([0.2, 0.5, 0.8], [1.0, 2.0, 0.5], 1e-2, brownian()))
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(json.dumps(record).replace("brownian", "brownian\xe9").encode("latin-1"))
+    code, out, err = _run(capsys, "predict", "--model", str(model_path), "--points", "0.5")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {model_path} is not UTF-8 text")
+
+
+def test_predict_model_outside_domain_exits_one(tmp_path, capsys):
+    from krlslab import brownian, fit_krls
+
+    record = serialize.model_to_dict(fit_krls([0.2, 0.5, 0.8], [1.0, 2.0, 0.5], 1e-2, brownian()))
+    record["inputs"][2] = [1.5]
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(record))
+    code, out, err = _run(capsys, "predict", "--model", str(model_path), "--points", "0.5")
+    assert code == 1 and out == ""
+    assert err == "error: inputs: coordinate 0 leaves [0.0, 1.0]\n"
+
+
+@pytest.mark.parametrize(
+    "summary, message",
+    [
+        ("[1, 2]", "summary.json must hold a JSON object"),
+        ('{"theoretical_exponent": "0.5"}',
+         "summary.json: theoretical_exponent must be a number or null, not '0.5'"),
+    ],
+    ids=["list", "string_exponent"],
+)
+def test_report_malformed_summary_exits_one(tmp_path, capsys, summary, message):
+    (tmp_path / "rows.csv").write_text(harness.CSV_HEADER + "\nkrls,64,,,0.1,0,1.0,0.01,,\n")
+    (tmp_path / "summary.json").write_text(summary)
+    code, out, err = _run(capsys, "report", "--path", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"

@@ -8,11 +8,22 @@ import pytest
 
 from krlslab import (
     ContractError,
+    DistributedAverageModel,
+    DomainError,
     EmptyInputError,
     IllConditionedError,
+    KrlsModel,
+    LocalizedModel,
+    NystromModel,
+    ZeroModel,
+    assign,
     brownian,
+    build_grid_partition,
     cross_gram,
+    fit_distributed_average,
     fit_krls,
+    fit_localized,
+    fit_localized_nystrom,
     fit_nystrom,
     gaussian,
     gram,
@@ -266,3 +277,81 @@ def test_blocked_predict_matches_one_shot(fit, centers, monkeypatch):
     assert model.predict(0.5) == float(model.predict(np.array([0.5]))[0])
     with pytest.raises(EmptyInputError):
         model.predict(np.array([]))
+
+
+def _one_shot_expansion(model, t):
+    """A model's kernel expansion at t through one cross-Gram product, and
+    the sum of the absolute values of its terms, sum_j |alpha_j K(t, c_j)|."""
+    if isinstance(model, LocalizedModel):
+        value, scale = np.zeros(t.size), np.zeros(t.size)
+        cells = assign(model.partition, t)
+        for j, local in enumerate(model.local_models):
+            ix = cells == j
+            if ix.any() and not isinstance(local, ZeroModel):
+                value[ix], scale[ix] = _one_shot_expansion(local, t[ix])
+        return value, scale
+    if isinstance(model, DistributedAverageModel):
+        parts = [_one_shot_expansion(local, t) for local in model.models]
+        return tuple(np.mean(part, axis=0) for part in zip(*parts))
+    k = cross_gram(model.kernel, t, model.inputs if isinstance(model, KrlsModel)
+                   else model.landmarks)
+    return k @ model.alpha, np.abs(k) @ np.abs(model.alpha)
+
+
+_PART = build_grid_partition((0.0, 1.0), 4)
+
+
+@pytest.mark.parametrize(
+    "copies, lam", [(10, 1e-2), (10, 1e-6), (1, 1e-10)],
+    ids=["copies-lam1e-2", "copies-lam1e-6", "distinct-lam1e-10"],
+)
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda x, y, lam: fit_krls(x, y, lam, brownian()),
+        lambda x, y, lam: fit_nystrom(x, y, lam, 50, 3, brownian()),
+        lambda x, y, lam: fit_localized(x, y, _PART, lam, brownian()),
+        lambda x, y, lam: fit_localized_nystrom(x, y, _PART, lam, 8, 3, brownian()),
+        lambda x, y, lam: fit_distributed_average(x, y, 4, lam, brownian(), 3),
+    ],
+    ids=["krls", "nystrom", "localized", "localized_nystrom", "distributed"],
+)
+def test_min_kernel_prediction_matches_cross_gram(fit, copies, lam, monkeypatch):
+    # 200 training points: 200 // copies distinct centers, two of them the
+    # domain's endpoints, each repeated `copies` times
+    rng = np.random.default_rng(4)
+    distinct = np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 200 // copies - 2)))
+    x = np.repeat(distinct, copies)
+    model = fit(x, rng.standard_normal(x.size), lam)
+    # queries on the centers, on the cell boundaries and in between
+    t = np.concatenate((distinct, [0.25, 0.5, 0.75], rng.uniform(0, 1, 200)))
+    expected, scale = _one_shot_expansion(model, t)
+
+    def no_cross_gram(*args):
+        raise AssertionError("the min kernel predicts without a cross-Gram")
+
+    monkeypatch.setattr(kernels, "cross_gram", no_cross_gram)
+    got = model.predict(t)
+    assert np.all(np.abs(got - expected) <= 1e-13 * scale)
+    for point in (0.0, distinct[5], 1.0):
+        value = model.predict(point)
+        assert isinstance(value, float)
+        assert value == float(model.predict(np.array([point]))[0])
+    with pytest.raises(EmptyInputError):
+        model.predict(np.array([]))
+    for outside in (-0.1, 1.5, np.nan):
+        with pytest.raises(DomainError):
+            model.predict([0.5, outside])
+
+
+def test_model_centers_are_checked_at_construction():
+    with pytest.raises(DomainError, match="inputs: coordinate 0 leaves"):
+        KrlsModel(inputs=[[0.5], [1.5]], alpha=[1.0, 2.0], lam=0.1, kernel=brownian())
+    with pytest.raises(DomainError, match="landmarks: points must be finite"):
+        NystromModel(landmarks=[[0.5], [np.nan]], landmark_indices=[0, 1], alpha=[1.0, 2.0],
+                     lam=0.1, kernel=brownian(), seed=0)
+    with pytest.raises(DomainError, match="inputs: coordinate 1 leaves"):
+        KrlsModel(inputs=[[0.5, 0.5], [0.5, -0.5]], alpha=[1.0, 2.0], lam=0.1,
+                  kernel=gaussian(0.3, _SQUARE))
+    with pytest.raises(EmptyInputError, match="inputs: need at least one point"):
+        KrlsModel(inputs=np.empty((0, 1)), alpha=[], lam=0.1, kernel=brownian())

@@ -388,6 +388,14 @@ _MALFORMED = {
     "string_gamma": (
         lambda: {**_SOBOLEV_RECORD, "gamma": "0.5"}, "task field gamma must be a JSON number"
     ),
+    "inputs_outside_domain": (
+        lambda: {**_KRLS, "inputs": [[0.1], [0.25], [0.4], [1.5]]},
+        r"inputs: coordinate 0 leaves \[0.0, 1.0\]",
+    ),
+    "local_landmarks_outside_domain": (
+        lambda: {**_FORMAT1_MODELS["nystrom"], "landmarks": [[0.1], [-0.25], [0.55]]},
+        r"landmarks: coordinate 0 leaves \[0.0, 1.0\]",
+    ),
 }
 
 
