@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: synth (emit a task file), fit (train and serialize a model),
-predict (evaluate a model file at points), experiment (rate or
-schedule-comparison run from a config file), bench (fit timing), report
-(summarize a report directory).
+Subcommands: synth (emit a task file), fit (serialize the model of unit
+(seed, estimator, n, rep 0) of a rate experiment), predict (evaluate a
+model file at points), experiment (rate or schedule-comparison run from a
+config file), bench (fit timing), report (summarize a report directory).
 
 Exit codes: 0 success, 1 configuration or file error, 2 at least one row
 of an experiment failed numerically.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import pathlib
 import sys
@@ -21,16 +22,7 @@ import numpy as np
 
 from . import harness, serialize
 from .exceptions import ContractError
-from .harness import (
-    ExperimentConfig,
-    emit_report,
-    parse_report,
-    run_improved_bound_experiment,
-    run_rate_experiment,
-    run_timing_benchmark,
-)
 from .synth import NoiseSpec, piecewise_task, sobolev_task
-from .theory import l_schedule, lambda_schedule, m_schedule
 
 
 def _write_json(payload, path: str | None):
@@ -74,29 +66,25 @@ def _cmd_synth(args) -> int:
 
 def _cmd_fit(args) -> int:
     task = serialize.task_from_dict(_load_json(args.task))
-    params = task.model_params()
-    n = args.n
-    lam = args.lam if args.lam is not None else lambda_schedule(n, params)
-    m = args.m if args.m is not None else m_schedule(n, params)
-    l = args.l if args.l is not None else l_schedule(n, params)
-    root = np.random.SeedSequence([int(args.seed)])
-    data_s, label_s, fit_s = root.spawn(3)
-    x = harness.gen_inputs(task, n, data_s)
-    y = harness.sample_labels(task, x, label_s)
+    listed = {"lambdas": args.lam, "ms": args.m, "ls": args.l}
+    config = harness.ExperimentConfig(
+        task, (args.estimator,), (args.n,), 1, 1, args.seed,
+        **{key: (val,) for key, val in listed.items() if val is not None},
+    )
+    lam, m, l = harness.schedule_values(config, 0)
+    x, y, fit_s, _ = harness._unit_data(config, args.estimator, args.n, 0)
     model, _, _, _ = harness.fit_estimator(args.estimator, task, x, y, lam, m, l, fit_s)
     _write_json(serialize.model_to_dict(model), args.out)
     return 0
 
 
 def _read_points(args) -> np.ndarray:
+    text = harness.read_text(args.points_file) if args.points is None else None
     try:
         if args.points is not None:
             return np.array([float(tok) for tok in args.points.split(",") if tok.strip()])
-        values = []
-        with open(args.points_file, newline="") as fh:
-            for record in csv.reader(fh):
-                if record:
-                    values.append([float(tok) for tok in record])
+        records = csv.reader(io.StringIO(text, newline=""))
+        values = [[float(tok) for tok in record] for record in records if record]
     except ValueError as exc:
         raise ContractError(f"points must be numeric: {exc}") from exc
     if not values:
@@ -135,14 +123,14 @@ def _cmd_experiment(args) -> int:
     if out is None:
         raise ContractError("no output path: set output_path or pass --out")
     if config.experiment == "rate":
-        report = run_rate_experiment(config)
-        emit_report(report, out, task=config.task)
+        report = harness.run_rate_experiment(config)
+        harness.emit_report(report, out, task=config.task)
         code = _report_exit_code(report)
     else:
-        rough, smooth = run_improved_bound_experiment(config)
+        rough, smooth = harness.run_improved_bound_experiment(config)
         base = pathlib.Path(out)
-        emit_report(rough, base / "rough_schedule", task=config.task)
-        emit_report(smooth, base / "smooth_schedule", task=config.task)
+        harness.emit_report(rough, base / "rough_schedule", task=config.task)
+        harness.emit_report(smooth, base / "smooth_schedule", task=config.task)
         contrast = harness.paired_contrast(rough, smooth)
         _write_json(contrast, str(base / "contrast.json"))
         code = _report_exit_code(rough, smooth)
@@ -152,14 +140,10 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = serialize.config_from_dict(_load_json(args.config))
-    table = run_timing_benchmark(config, repeats=args.repeats)
+    table = harness.run_timing_benchmark(config, repeats=args.repeats)
     out = pathlib.Path(args.out or config.output_path or ".")
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "timing.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["estimator", "n", "median_fit_seconds"])
-        for row in table.rows:
-            writer.writerow([row.estimator, row.n, repr(row.median_fit_seconds)])
+    harness.write_table(out / "timing.csv", harness.TimingRow, table.rows)
     _write_json(
         {"scaling_exponents": table.scaling_exponents}, str(out / "scaling.json")
     )
@@ -168,7 +152,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = parse_report(args.path)
+    report = harness.parse_report(args.path)
     _write_json(harness.report_summary(report), None)
     return _report_exit_code(report)
 

@@ -8,7 +8,8 @@ against log n next to the theoretical exponent; a schedule comparison runs
 it once per smoothness schedule. Every (estimator, n, rep) unit draws its
 data from seeds derived from the master seed, so runs are deterministic and
 units are independent; a fit failure taints only its own row. ``rows.csv``
-has one column per field of :class:`Row`.
+and ``timing.csv`` have one column per field of :class:`Row` and
+:class:`TimingRow`.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ class ExperimentConfig:
             raise ContractError("replications must be at least 1")
         if self.n_test < 1:
             raise ContractError("n_test must be at least 1")
+        if self.master_seed < 0:
+            raise ContractError(f"master_seed must be non-negative, not {self.master_seed}")
         for name, cast in (("lambdas", float), ("ms", int), ("ls", int)):
             vals = getattr(self, name)
             if vals is None:
@@ -117,8 +120,12 @@ class Row:
         return self.warning.startswith("error:")
 
 
-_ROW_FIELDS = fields(Row)
-_CSV_KEYS = [{"lam": "lambda"}.get(f.name, f.name) for f in _ROW_FIELDS]
+def _csv_keys(cls) -> list:
+    """A table's column names: the fields of ``cls``, ``lam`` written as ``lambda``."""
+    return [{"lam": "lambda"}.get(f.name, f.name) for f in fields(cls)]
+
+
+_CSV_KEYS = _csv_keys(Row)
 CSV_HEADER = ",".join(_CSV_KEYS)
 
 
@@ -261,13 +268,14 @@ def fit_loglog_slope(points) -> tuple:
     return slope, stderr
 
 
+def _curve_slope(curve):
+    """(slope, stderr) over an [(n, value)] curve's positive points; None below two."""
+    usable = [(n, v) for n, v in curve if v > 0]
+    return fit_loglog_slope(usable) if len(usable) >= 2 else None
+
+
 def _slopes(rows, estimators):
-    out = {}
-    for est in estimators:
-        curve = mean_mise_curve(rows, est)
-        usable = [(n, m) for n, m in curve if m > 0]
-        out[est] = fit_loglog_slope(usable) if len(usable) >= 2 else None
-    return out
+    return {est: _curve_slope(mean_mise_curve(rows, est)) for est in estimators}
 
 
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:
@@ -358,6 +366,8 @@ def run_timing_benchmark(config: ExperimentConfig, repeats: int = 5) -> TimingTa
     Times cover the fit call only; data generation and prediction are
     excluded. Scaling exponents are log-log slopes of median time vs n.
     """
+    if repeats < 1:
+        raise ContractError(f"repeats must be at least 1, not {repeats}")
     rows = []
     for estimator in config.estimators:
         for i, n in enumerate(config.n_grid):
@@ -370,16 +380,23 @@ def run_timing_benchmark(config: ExperimentConfig, repeats: int = 5) -> TimingTa
                 times.append(time.perf_counter() - tic)
             rows.append(TimingRow(estimator, n, float(np.median(times))))
     exponents = {}
-    for estimator in config.estimators:
-        pts = [(r.n, r.median_fit_seconds) for r in rows if r.estimator == estimator]
-        pts = [(n, t) for n, t in pts if t > 0]
-        exponents[estimator] = fit_loglog_slope(pts)[0] if len(pts) >= 2 else None
+    for est in config.estimators:
+        slope = _curve_slope([(r.n, r.median_fit_seconds) for r in rows if r.estimator == est])
+        exponents[est] = None if slope is None else slope[0]
     return TimingTable(rows=tuple(rows), scaling_exponents=exponents)
 
 
 def _cell_text(value) -> str:
-    """A Row value as its rows.csv cell: None is empty, a float its repr."""
+    """A table value as its CSV cell: None is empty, a float its repr."""
     return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+def write_table(path, cls, rows):
+    """Write dataclass rows as UTF-8 CSV: header :func:`_csv_keys`, cells :func:`_cell_text`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_csv_keys(cls))
+        writer.writerows([_cell_text(getattr(row, f.name)) for f in fields(cls)] for row in rows)
 
 
 def _parse_cell(where: str, key: str, hint, text: str):
@@ -421,12 +438,7 @@ def emit_report(report: RateReport, path, task: SyntheticTask | None = None):
     out = pathlib.Path(path)
     out.mkdir(parents=True, exist_ok=True)
     rows_path = out / "rows.csv"
-    ordered = sorted(report.rows, key=lambda r: (r.estimator, r.n, r.rep))
-    with open(rows_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        csv.writer(fh, lineterminator="\n").writerows(
-            [_cell_text(getattr(r, f.name)) for f in _ROW_FIELDS] for r in ordered
-        )
+    write_table(rows_path, Row, sorted(report.rows, key=lambda r: (r.estimator, r.n, r.rep)))
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(report_summary(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -468,9 +480,9 @@ def parse_report(path) -> RateReport:
     reader = csv.reader(fh)
     for record in filter(None, reader):
         where = f"{rows_path.name} line {reader.line_num + 1}"
-        if len(record) != len(_ROW_FIELDS):
-            raise ContractError(f"{where} has {len(record)} cells, not {len(_ROW_FIELDS)}")
-        cells = zip(_CSV_KEYS, [hints[f.name] for f in _ROW_FIELDS], record)
+        if len(record) != len(hints):
+            raise ContractError(f"{where} has {len(record)} cells, not {len(hints)}")
+        cells = zip(_CSV_KEYS, hints.values(), record)
         rows.append(Row(*(_parse_cell(where, *cell) for cell in cells)))
     summary_path = rows_path.parent / "summary.json"
     exponent = None

@@ -6,8 +6,9 @@ its dataclass. A record's keys are the field names, except ``lambda`` for
 and floats stay Python floats, which json keeps exactly. Model and task
 records open with a format tag, and a model record names its ``type``. A
 target is stored as the keyword arguments of the task factory that builds
-it. A missing or unknown key, or a float, int or str field that does not
-hold a JSON number, integer or string, raises ContractError naming the
+it, so a piecewise target must lie on the factory's uniform grid over
+[0, 1]. A missing or unknown key, or a float, int or str field that does
+not hold a JSON number, integer or string, raises ContractError naming the
 key; every other check is the constructor's own, and a TypeError or
 ValueError it raises becomes a ContractError naming the record.
 """
@@ -26,7 +27,7 @@ from .kernels import KernelSpec
 from .krls import KrlsModel
 from .localized import DistributedAverageModel, LocalizedModel, ZeroModel
 from .nystrom import NystromModel
-from .partition import Partition
+from .partition import Partition, build_grid_partition
 from .synth import (
     PiecewiseTarget,
     SobolevTarget,
@@ -65,6 +66,12 @@ def _encode(value):
     """A value as JSON types: dataclasses as records, arrays and tuples as lists."""
     if type(value) in _TARGET_KINDS:
         kind = _TARGET_KINDS[type(value)]
+        if kind == "piecewise" and value.partition != build_grid_partition((0.0, 1.0), value.cells):
+            part = value.partition
+            raise ContractError(
+                f"a piecewise target record keeps only its cell count, so it cannot "
+                f"hold a grid of {part.cells_per_dim} cells over {part.box}"
+            )
         return {"kind": kind, **{a: _encode(getattr(value, a)) for a in _target_args(kind)}}
     if dataclasses.is_dataclass(value):
         fields = {

@@ -7,8 +7,12 @@ import pytest
 
 import krlslab.harness as harness
 from krlslab import (
+    ESTIMATORS,
     ExperimentConfig,
     NoiseSpec,
+    mise_estimate,
+    row_seeds,
+    run_rate_experiment,
     serialize,
     sobolev_task,
 )
@@ -287,6 +291,76 @@ def test_fit_seed_changes_model(tmp_path, capsys):
         model = serialize.model_from_dict(json.loads(model_path.read_text()))
         outs.append(model.predict(0.5))
     assert outs[0] != outs[1]
+
+
+@pytest.mark.parametrize("listed", [False, True], ids=["scheduled", "listed"])
+def test_fit_writes_the_rate_experiment_unit(tmp_path, capsys, listed):
+    task_path = tmp_path / "task.json"
+    _run(capsys, "synth", "--kind", "sobolev", "--r", "0.5", "--out", str(task_path))
+    task = serialize.task_from_dict(json.loads(task_path.read_text()))
+    lists = dict(lambdas=(0.003,), ms=(3,), ls=(7,)) if listed else {}
+    flags = ["--lam", "0.003", "--m", "3", "--l", "7"] if listed else []
+    config = ExperimentConfig(task, ESTIMATORS, (96,), 1, 300, 5, **lists)
+    rows = {row.estimator: row for row in run_rate_experiment(config).rows}
+    for estimator in ESTIMATORS:
+        model_path = tmp_path / f"{estimator}.json"
+        code, _, _ = _run(
+            capsys,
+            "fit", "--task", str(task_path), "--estimator", estimator,
+            "--n", "96", "--seed", "5", *flags, "--out", str(model_path),
+        )
+        assert code == 0
+        model = serialize.model_from_dict(json.loads(model_path.read_text()))
+        test_seed = row_seeds(5, estimator, 96, 0)[3]
+        assert mise_estimate(model, task, 300, test_seed) == rows[estimator].mise
+        if listed:
+            assert rows[estimator].lam == 0.003
+
+
+def test_negative_seed_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path)
+    data = json.loads(cfg_path.read_text())
+    data["master_seed"] = -1
+    cfg_path.write_text(json.dumps(data))
+    out_dir = tmp_path / "report"
+    code, _, err = _run(capsys, "experiment", "--config", str(cfg_path), "--out", str(out_dir))
+    assert code == 1 and err == "error: master_seed must be non-negative, not -1\n"
+    assert not out_dir.exists()
+
+    task_path = tmp_path / "task.json"
+    _run(capsys, "synth", "--kind", "sobolev", "--r", "0.5", "--out", str(task_path))
+    code, out, err = _run(
+        capsys, "fit", "--task", str(task_path), "--estimator", "krls", "--n", "16", "--seed", "-1"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: master_seed must be non-negative, not -1\n"
+
+
+def test_bench_without_repeats_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, n_grid=(16, 32), replications=1)
+    out_dir = tmp_path / "bench"
+    code, _, err = _run(
+        capsys, "bench", "--config", str(cfg_path), "--out", str(out_dir), "--repeats", "0"
+    )
+    assert code == 1 and err == "error: repeats must be at least 1, not 0\n"
+    assert not out_dir.exists()
+
+
+def test_predict_non_utf8_points_file_exits_one(tmp_path, capsys):
+    from krlslab import brownian, fit_krls
+
+    model = fit_krls([0.2, 0.8], [1.0, 2.0], 1e-2, brownian())
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(serialize.model_to_dict(model)))
+    pts = tmp_path / "pts.csv"
+    pts.write_bytes(b"0.5\n0.\xe9\n")
+    code, out, err = _run(
+        capsys, "predict", "--model", str(model_path), "--points-file", str(pts)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {pts} is not UTF-8 text")
 
 
 def test_predict_malformed_model_exits_one(tmp_path, capsys):

@@ -61,6 +61,8 @@ def test_config_validation():
         _config(replications=0)
     with pytest.raises(ContractError):
         _config(n_test=0)
+    with pytest.raises(ContractError, match="master_seed must be non-negative, not -1"):
+        _config(master_seed=-1)
     with pytest.raises(ContractError):
         _config(n_grid=(64, 128), lambdas=(0.1,))
     with pytest.raises(ContractError):
@@ -418,3 +420,8 @@ def test_timing_benchmark_scales_up():
     assert times[256] > 0 and times[2048] > 0
     assert times[2048] > times[256]
     assert table.scaling_exponents["krls"] > 0.5
+
+
+def test_timing_benchmark_needs_a_repeat():
+    with pytest.raises(ContractError, match="repeats must be at least 1, not 0"):
+        run_timing_benchmark(_config(), repeats=0)

@@ -340,6 +340,17 @@ def test_format1_task_and_config_records_decode():
     np.testing.assert_array_equal(config.task.target.coefficients, sob.target.coefficients)
 
 
+def test_piecewise_target_off_the_unit_grid_is_refused():
+    # A record keeps only the cell count, so these cells over [0.2, 0.8]
+    # would come back spread over [0, 1].
+    from krlslab import SyntheticTask, make_piecewise_target
+
+    target = make_piecewise_target(0.2, 0.5, 1.0, 1.0, build_grid_partition((0.2, 0.8), 4), (1,))
+    task = SyntheticTask(target=target, noise=NoiseSpec("gaussian", 0.1))
+    with pytest.raises(ContractError, match=r"cannot hold a grid of \(4,\) cells over"):
+        serialize.task_to_dict(task)
+
+
 def _drop(record, key):
     return {k: v for k, v in record.items() if k != key}
 
