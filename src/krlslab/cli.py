@@ -65,6 +65,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.seed < 0:
+        raise ContractError(f"--seed must be non-negative, not {args.seed}")
     task = serialize.task_from_dict(_load_json(args.task))
     listed = {"lambdas": args.lam, "ms": args.m, "ls": args.l}
     config = harness.ExperimentConfig(

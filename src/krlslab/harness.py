@@ -25,6 +25,7 @@ import zlib
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import synth
 from .exceptions import ContractError
@@ -264,7 +265,7 @@ def fit_loglog_slope(points) -> tuple:
     intercept = ly.mean() - slope * lx.mean()
     resid = ly - (intercept + slope * lx)
     dof = len(pts) - 2
-    stderr = math.sqrt(float(resid @ resid) / dof / sxx) if dof > 0 else 0.0
+    stderr = math.sqrt(float(blas.ddot(resid, resid)) / dof / sxx) if dof > 0 else 0.0
     return slope, stderr
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas
 
 from .exceptions import ContractError, DomainError, EmptyInputError
 
@@ -166,6 +167,18 @@ def _check_in_box(pts: np.ndarray, box):
             raise DomainError(f"coordinate {j} leaves [{lo}, {hi}]")
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products a_i . b_j as a C-ordered matrix, in one buffer.
+
+    By scipy's gemm (see linalg), except gram's x @ x.T: numpy forms that
+    as an exactly symmetric product, which gemm does not promise, and it
+    runs once per Gram matrix rather than once per row block.
+    """
+    if a is b:
+        return a @ a.T
+    return blas.dgemm(1.0, b.T, a.T, trans_a=1).T
+
+
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances (|a|^2 + |b|^2) - 2 a.b, clipped at zero, in one buffer.
 
@@ -173,7 +186,7 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows at a time. Since x - y is exactly -y + x, this is bitwise the
     broadcast formula, and exactly symmetric when a is b.
     """
-    sq = a @ b.T
+    sq = _inner(a, b)
     sq *= -2.0
     na = (a * a).sum(axis=1)
     nb = (b * b).sum(axis=1)
@@ -188,7 +201,7 @@ def _pairwise(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if spec.family == "brownian":
         return np.minimum(a[:, 0][:, None], b[:, 0][None, :])
     if spec.family == "polynomial":
-        k = a @ b.T
+        k = _inner(a, b)
         k += spec.offset
         k **= spec.degree
         return k

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import kernels, linalg
 from .exceptions import ContractError
@@ -96,7 +97,7 @@ def _kernel_expansion(spec: KernelSpec, x, centers: np.ndarray, alpha: np.ndarra
         values = _min_expansion(pts[:, 0], centers[:, 0], alpha)
     else:
         values = np.concatenate([
-            kernels.cross_gram(spec, pts[rows], centers) @ alpha
+            blas.dgemv(1.0, kernels.cross_gram(spec, pts[rows], centers).T, alpha, trans=1)
             for rows in _row_blocks(pts.shape[0], centers.shape[0])
         ])
     return float(values[0]) if np.ndim(x) == 0 else values

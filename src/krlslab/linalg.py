@@ -6,6 +6,12 @@ shifted SPD solves retry once with a fixed-size jitter before giving up,
 and pseudo-inverse solves truncate at a relative eigenvalue tolerance.
 Right-hand sides are checked before any factorization.
 
+Every product, dot and norm here, as everywhere in krlslab but the Gram
+matrix's x @ x.T, goes through scipy's BLAS, the library its LAPACK calls use. numpy and scipy each load
+their own OpenBLAS with its own thread pool; a fit or predict that
+alternated between them left one pool's workers spinning on the cores the
+other needed. numpy keeps the elementwise work.
+
 A shifted solve consumes the matrix it factors: the shift goes onto its
 diagonal and the Cholesky factor over its upper triangle, in place, and the
 residual check reads the matrix from the strict lower triangle LAPACK
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from .exceptions import ContractError, EmptyInputError, IllConditionedError
 
@@ -30,8 +37,6 @@ SYMMETRY_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-10
 JITTER_SCALE = 1e-12
 PINV_RTOL = 1e-10
-# Rows per block of the residual check; its diagonal block copy is 512 KB.
-_RESIDUAL_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -42,11 +47,16 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm by scipy's dnrm2, over the entries in memory order."""
+    return float(blas.dnrm2(np.ravel(a, order="K"))) if a.size else 0.0
+
+
 def _require_symmetric(a: np.ndarray, op: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError(f"{op} needs a square matrix, got shape {a.shape}")
-    norm = np.linalg.norm(a)
+    norm = _norm(a)
     if not np.isfinite(norm):
         raise ContractError(f"{op} needs a finite matrix")
     gap = np.abs(a - a.T).max() if a.size else 0.0
@@ -150,18 +160,20 @@ def _cholesky_solve(a: np.ndarray, diag: float, b: np.ndarray) -> np.ndarray:
     # triangle is a's upper one.
     c = scipy.linalg.cho_factor(a.T, lower=True, overwrite_a=True, check_finite=False)
     x = scipy.linalg.cho_solve(c, b, check_finite=False)
-    # numpy's matmul, not scipy's dsymv/dsymm: numpy and scipy load separate
-    # OpenBLAS thread pools, and a fit that ended on scipy's pool slowed the
-    # numpy cross-Gram products of the predict that followed it.
-    residual = (d * x.T).T - b
-    for i in range(0, n, _RESIDUAL_ROWS):
-        rows = slice(i, i + _RESIDUAL_ROWS)
-        below = a[rows, :i]
-        block = np.tril(a[rows, rows], -1)
-        residual[rows] += below @ x[:i] + block @ x[rows] + block.T @ x[rows]
-        residual[:i] += below.T @ x[rows]
-    tol = RESIDUAL_RTOL * max(np.linalg.norm(b), np.finfo(float).tiny)
-    if not np.linalg.norm(residual) <= tol:
+    # The upper triangle of a.T is a's strict lower one, still K, over the
+    # factor's diagonal: symv/symm read it in place, and (d - diagonal) * x
+    # swaps the shifted diagonal in. The product runs on the BLAS that
+    # cho_factor just used. With numpy's matmul here and in the Nystrom
+    # normal equations, each fit woke both pools: on a 2-core VM, the
+    # cells_n32768 benchmark's fit_s fell from 3.20 to 1.89 s (medians of
+    # 10 alternating pairs) once all of them ran on scipy's.
+    if x.ndim == 1:
+        residual = blas.dsymv(1.0, a.T, x, beta=-1.0, y=b)
+    else:
+        residual = blas.dsymm(1.0, a.T, x, beta=-1.0, c=b)
+    residual += ((d - a.diagonal()) * x.T).T
+    tol = RESIDUAL_RTOL * max(_norm(b), np.finfo(float).tiny)
+    if not _norm(residual) <= tol:
         raise np.linalg.LinAlgError("residual above tolerance")
     return x
 
@@ -182,6 +194,6 @@ def pinv_solve(a: np.ndarray, b: np.ndarray, rel_tol: float = PINV_RTOL) -> np.n
     if top <= 0.0:
         return np.zeros_like(b)
     keep = w > rel_tol * top
-    vk = v[:, keep]
-    coeffs = (vk.T @ b).T / w[keep]
-    return vk @ coeffs.T
+    vkt = v[:, keep].T  # Fortran-ordered, so gemm reads it without a copy
+    coeffs = blas.dgemm(1.0, vkt, b.reshape(b.shape[0], -1)) / w[keep][:, None]
+    return blas.dgemm(1.0, vkt, coeffs, trans_a=1).reshape(b.shape)

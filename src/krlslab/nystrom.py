@@ -6,8 +6,9 @@ solve the explicit normal equations
 
     (K_nl^T K_nl + n * lam * K_ll) alpha = K_nl^T y
 
-whose left and right sides are accumulated over row blocks of K_nl of the
-size ``krls._row_blocks`` gives, so the n x l cross-Gram is never stored whole.
+whose left and right sides are accumulated in place by scipy's syrk and
+gemv over row blocks of K_nl of the size ``krls._row_blocks`` gives, so the
+n x l cross-Gram is never stored whole and no block adds an l x l matrix.
 They are solved by Cholesky, falling back to an eigenvalue-truncated
 pseudo-inverse when factorization or its residual check fails, so
 rank-deficient landmark sets (duplicate coordinates, l near the numerical
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import kernels, krls, linalg
 from .exceptions import ContractError, EmptyInputError
@@ -81,14 +83,24 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
     n = pts.shape[0]
     idx = sample_landmarks(n, l, seed)
     landmarks = pts[idx]
-    # Exactly symmetric: numpy forms each k.T @ k as a symmetric product.
-    # With one block this is bitwise K_nl.T @ K_nl + n * lam * K_ll.
-    b = n * lam * kernels.gram(spec, landmarks)
+    # syrk and gemv accumulate into b and rhs in place: c = b.T and k.T are
+    # Fortran-ordered, so scipy's BLAS copies neither. syrk fills c's lower
+    # triangle, b's upper one, which is mirrored once at the end so that b
+    # is exactly symmetric. syrk adds each panel of the inner dimension into c
+    # as it goes, so only a block within one panel (a few hundred rows) is
+    # bitwise numpy's K_nl.T @ K_nl + n * lam * K_ll; longer ones agree to
+    # rounding.
+    b = kernels.gram(spec, landmarks)
+    b *= n * lam
+    c = b.T
     rhs = np.zeros(l)
     for rows in krls._row_blocks(n, l):
-        k = kernels.cross_gram(spec, pts[rows], landmarks)
-        b += k.T @ k
-        rhs += k.T @ y[rows]
+        k = kernels.cross_gram(spec, pts[rows], landmarks).T
+        c = blas.dsyrk(1.0, k, beta=1.0, c=c, lower=1, overwrite_c=1)
+        rhs = blas.dgemv(1.0, k, y[rows], beta=1.0, y=rhs, overwrite_y=1)
+    b = c.T
+    upper = np.triu_indices(l, 1)
+    c[upper] = b[upper]
     try:
         # on a copy: the attempt consumes its matrix, and the fallback needs b
         alpha = linalg._cholesky_solve(b.copy(), 0.0, rhs)

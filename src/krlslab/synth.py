@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import kernels, partition as partition_mod
 from .exceptions import ContractError, EmptyInputError
@@ -394,7 +395,7 @@ def mise_estimate(predictor, task: SyntheticTask, n_test: int, seed) -> float:
     truth = task.target(xs)
     pred = _call_predictor(predictor, xs)
     diff = pred - truth
-    return float(diff @ diff / n_test)
+    return float(blas.ddot(diff, diff) / n_test)
 
 
 def cellwise_mse(predictor, task: SyntheticTask, part: Partition, n_test: int, seed):

@@ -334,7 +334,7 @@ def test_negative_seed_exits_one(tmp_path, capsys):
         capsys, "fit", "--task", str(task_path), "--estimator", "krls", "--n", "16", "--seed", "-1"
     )
     assert code == 1 and out == ""
-    assert err == "error: master_seed must be non-negative, not -1\n"
+    assert err == "error: --seed must be non-negative, not -1\n"
 
 
 def test_bench_without_repeats_exits_one(tmp_path, capsys):

@@ -110,6 +110,20 @@ def test_gram_exact_symmetry_at_n1500():
         np.testing.assert_array_equal(k, k.T, err_msg=f"{spec}")
 
 
+def test_cross_gram_agrees_with_gram_in_d3():
+    # cross_gram's inner products come from scipy's gemm, gram's from numpy's
+    # x @ x.T; both must give the same kernel, as a C-ordered matrix. (The
+    # laplacian is left out: its square root turns a 1e-16 rounding
+    # difference in a squared distance near zero into 1e-8.)
+    rng = np.random.default_rng(8)
+    cube = ((0.0, 1.0),) * 3
+    x = rng.uniform(0.0, 1.0, (300, 3))
+    for spec in (gaussian(0.4, cube), polynomial(3, 1.0, cube)):
+        k = cross_gram(spec, x, x.copy())
+        assert k.flags.c_contiguous
+        np.testing.assert_allclose(k, gram(spec, x), rtol=1e-12, atol=1e-12, err_msg=f"{spec}")
+
+
 def test_gram_matches_pointwise_evaluation():
     rng = np.random.default_rng(9)
     x = rng.uniform(0, 1, 6)

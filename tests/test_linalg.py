@@ -1,5 +1,7 @@
 """Contracts of the symmetric solvers: ordering, residuals, truncation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -166,7 +168,7 @@ def test_spd_solve_rejects_empty_matrix():
 
 
 def test_cholesky_solve_factors_in_place_and_keeps_lower_triangle():
-    # 600 rows span three residual blocks; the right-hand side is a matrix
+    # a matrix right-hand side, so the residual goes through symm
     rng = np.random.default_rng(7)
     n = 600
     a = _random_spd(rng, n)
@@ -179,6 +181,39 @@ def test_cholesky_solve_factors_in_place_and_keeps_lower_triangle():
     upper = np.triu(a)
     np.testing.assert_allclose(upper.T @ upper, shifted, rtol=1e-12, atol=1e-9)
     np.testing.assert_array_equal(np.tril(a, -1), np.tril(kept, -1))
+
+
+@pytest.mark.parametrize("cols", [None, 2], ids=["vector", "matrix"])
+def test_residual_check_catches_wrong_solve(monkeypatch, cols):
+    # a finite x off by 1e-6 relative leaves a residual of 1e-6 * |b|
+    real_cho_solve = scipy.linalg.cho_solve
+    monkeypatch.setattr(
+        scipy.linalg, "cho_solve", lambda *args, **kwargs: real_cho_solve(*args, **kwargs) * (1 + 1e-6)
+    )
+    rng = np.random.default_rng(8)
+    a = _random_spd(rng, 40)
+    b = rng.standard_normal(40 if cols is None else (40, cols))
+    with pytest.raises(np.linalg.LinAlgError, match="residual"):
+        linalg._cholesky_solve(a.copy(), 0.5, b)
+    with pytest.raises(IllConditionedError):
+        spd_solve(a, 0.5, b)
+
+
+@pytest.mark.parametrize("cols", [None, 2], ids=["vector", "matrix"])
+def test_cholesky_solve_copies_no_matrix(cols):
+    # scipy's BLAS copies a matrix it gets in C order (8 MB here); the solve
+    # hands it Fortran-ordered views of the one buffer it consumes
+    rng = np.random.default_rng(9)
+    n = 1024
+    a = _random_spd(rng, n)
+    b = rng.standard_normal(n if cols is None else (n, cols))
+    tracemalloc.start()
+    try:
+        linalg._cholesky_solve(a, 0.5, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
 
 
 def test_pinv_checks_rhs_before_eigh(monkeypatch):

@@ -1,5 +1,7 @@
 """Landmark subsampling and the reduced-space solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,36 @@ def test_fit_is_bitwise_deterministic():
     b = fit_nystrom(x, y, 1e-2, 20, seed=7, spec=brownian())
     np.testing.assert_array_equal(a.alpha, b.alpha)
     np.testing.assert_array_equal(a.landmark_indices, b.landmark_indices)
+
+
+def test_normal_equations_accumulate_in_place(monkeypatch):
+    # From one block's cross_gram return to the next call, syrk and gemv
+    # update b and rhs in place: k.T @ k would add a second l x l matrix
+    # (512 KB here) per block, and a C-ordered operand a copy of its own.
+    rng = np.random.default_rng(16)
+    n, l, rows = 2048, 256, 128
+    x = rng.uniform(0, 1, n)
+    y = rng.standard_normal(n)
+    monkeypatch.setattr(krls, "_BLOCK_ENTRIES", rows * l)
+    marks, peaks = [], []
+    real_cross_gram = kernels.cross_gram
+
+    def measured_cross_gram(spec, a, b):
+        if marks:
+            peaks.append(tracemalloc.get_traced_memory()[1] - marks[-1])
+        k = real_cross_gram(spec, a, b)
+        tracemalloc.reset_peak()
+        marks.append(tracemalloc.get_traced_memory()[0])
+        return k
+
+    monkeypatch.setattr(kernels, "cross_gram", measured_cross_gram)
+    tracemalloc.start()
+    try:
+        fit_nystrom(x, y, 1e-3, l, seed=5, spec=brownian())
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == n // rows - 1
+    assert max(peaks) < l * l * 8 / 4
 
 
 def test_blocked_normal_equations_match_one_block(monkeypatch):

@@ -1,0 +1,74 @@
+"""krlslab does its BLAS work through scipy, never through numpy.
+
+numpy and scipy each load their own OpenBLAS with its own thread pool, and a
+fit that switches between them leaves one pool spinning on the cores the
+other needs. Every product, dot and norm therefore calls
+``scipy.linalg.blas``, the library behind scipy's LAPACK. This test walks the
+syntax tree of every module and fails on a numpy product or norm.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "krlslab"
+
+# numpy functions that reach numpy's BLAS
+_NUMPY_BLAS = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot"}
+
+# (module, source line) -> why the numpy product stays
+_ALLOWED = {
+    ("kernels.py", "return a @ a.T"): (
+        "gram's exact symmetry relies on numpy forming x @ x.T as a symmetric "
+        "product, which gemm does not promise; one call per Gram matrix"
+    ),
+}
+
+
+def _numpy_blas_uses(path: Path):
+    """(line number, source line) of every matmul and numpy BLAS call in path."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found = True
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            owner = ast.unparse(func.value)
+            found = (
+                func.attr == "dot"
+                or (owner in ("np", "numpy") and func.attr in _NUMPY_BLAS)
+                or (owner in ("np.linalg", "numpy.linalg") and func.attr == "norm")
+            )
+        else:
+            found = False
+        if found:
+            yield node.lineno, lines[node.lineno - 1].strip()
+
+
+def test_only_scipy_blas_in_package():
+    offenders = [
+        f"{path.name}:{lineno}: {line}"
+        for path in sorted(_SRC.glob("*.py"))
+        for lineno, line in _numpy_blas_uses(path)
+        if (path.name, line) not in _ALLOWED
+    ]
+    assert offenders == []
+
+
+@pytest.mark.parametrize("module, line", sorted(_ALLOWED))
+def test_allowed_products_still_exist(module, line):
+    # a stale entry would let the same line back in elsewhere unnoticed
+    assert line in [found for _, found in _numpy_blas_uses(_SRC / module)]
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    ["y = a @ b", "a @= b", "y = np.dot(a, b)", "y = a.dot(b)", "y = np.linalg.norm(a)",
+     "y = np.einsum('i,i', a, b)", "y = numpy.matmul(a, b)", "y = np.tensordot(a, b)"],
+)
+def test_guard_sees_numpy_blas(tmp_path, snippet):
+    path = tmp_path / "mod.py"
+    path.write_text(f"import numpy as np\n{snippet}\n")
+    assert [line for _, line in _numpy_blas_uses(path)] == [snippet]
