@@ -8,6 +8,10 @@ Empty cells contribute the zero function. Both localized fitters share one
 split/fit/combine loop, ``_fit_cells``, and differ only in the per-cell fit.
 Training pairs are checked once, at the split, before any cell is fit.
 
+The distributed average checks that its models are KRLS fits under its own
+kernel. For the min kernel it predicts as one expansion over all n centers,
+the chunks' coefficients divided by m, so its cost does not grow with m.
+
 The direct-sum view: the localized estimator is global KRLS under the kernel
 K(x, z) = sum_j p_j^{-1} K_j(x, z) 1{x, z in cell j}, which vanishes across
 cells; ``direct_sum_gram`` builds its Gram matrix. The cell weights appear
@@ -21,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, partition as partition_mod
+from . import kernels, krls, partition as partition_mod
 from .exceptions import ContractError
 from .kernels import KernelSpec
-from .krls import fit_krls
+from .krls import KrlsModel, fit_krls
 from .nystrom import fit_nystrom
 from .partition import CellStats, Partition
 
@@ -70,7 +74,12 @@ class LocalizedModel:
 
 @dataclass(frozen=True)
 class DistributedAverageModel:
-    """Uniform average of independent KRLS fits on disjoint random chunks."""
+    """Uniform average of independent KRLS fits on disjoint random chunks.
+
+    Every model must be a ``KrlsModel`` under ``kernel``, as
+    ``fit_distributed_average`` builds them; then the average is itself a
+    kernel expansion over the chunks' centers with coefficients alpha / m.
+    """
 
     models: tuple
     lam: float
@@ -80,8 +89,26 @@ class DistributedAverageModel:
     def __post_init__(self):
         if not self.models:
             raise ContractError("models must hold at least one model")
+        for i, model in enumerate(self.models):
+            if not isinstance(model, KrlsModel):
+                raise ContractError(f"models[{i}] is a {type(model).__name__}, not a KrlsModel")
+            if model.kernel != self.kernel:
+                raise ContractError(f"models[{i}] has kernel {model.kernel}, "
+                                    f"not the average's {self.kernel}")
 
     def predict(self, x):
+        """Evaluate the average. Scalar in, float out; array in, array out.
+
+        For the min kernel the average is one expansion over all n centers,
+        with each chunk's alpha divided by m; it matches the mean of the
+        chunk predictions to rounding. Other families average the chunk
+        predictions, bit for bit: a merged cross-Gram would save nothing there.
+        """
+        if self.kernel.family == "brownian":
+            centers = np.concatenate([model.inputs for model in self.models])
+            alpha = np.concatenate([model.alpha for model in self.models])
+            alpha /= len(self.models)
+            return krls._kernel_expansion(self.kernel, x, centers, alpha)
         preds = [model.predict(x) for model in self.models]
         if np.ndim(preds[0]) == 0:
             return float(np.mean(preds))

@@ -8,7 +8,8 @@ solve the explicit normal equations
 
 whose left and right sides are accumulated in place by scipy's syrk and
 gemv over row blocks of K_nl of the size ``krls._row_blocks`` gives, so the
-n x l cross-Gram is never stored whole and no block adds an l x l matrix.
+n x l cross-Gram is never stored whole: the fit holds one block at a time,
+and no block adds an l x l matrix.
 They are solved by Cholesky, falling back to an eigenvalue-truncated
 pseudo-inverse when factorization or its residual check fails, so
 rank-deficient landmark sets (duplicate coordinates, l near the numerical
@@ -63,6 +64,22 @@ def sample_landmarks(n: int, l: int, seed) -> np.ndarray:
     return rng.choice(n, size=l, replace=False)
 
 
+def _mirror_upper(b: np.ndarray):
+    """Copy the upper triangle of square b onto its lower one, in place.
+
+    Column band by column band: the block below a band's diagonal block is
+    the transpose of the block to its right, and the diagonal block mirrors
+    itself through a triangular mask. No temporary is larger than one band
+    of b.
+    """
+    l, band = b.shape[0], 64
+    for i in range(0, l, band):
+        j = min(i + band, l)
+        b[j:, i:j] = b[i:j, j:].T
+        diag = b[i:j, i:j]
+        np.copyto(diag, diag.T, where=np.tri(j - i, k=-1, dtype=bool))
+
+
 def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromModel:
     """Fit the landmark-restricted regressor.
 
@@ -98,9 +115,9 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
         k = kernels.cross_gram(spec, pts[rows], landmarks).T
         c = blas.dsyrk(1.0, k, beta=1.0, c=c, lower=1, overwrite_c=1)
         rhs = blas.dgemv(1.0, k, y[rows], beta=1.0, y=rhs, overwrite_y=1)
+        del k  # let the block go before the next one is built
     b = c.T
-    upper = np.triu_indices(l, 1)
-    c[upper] = b[upper]
+    _mirror_upper(b)
     try:
         # on a copy: the attempt consumes its matrix, and the fallback needs b
         alpha = linalg._cholesky_solve(b.copy(), 0.0, rhs)

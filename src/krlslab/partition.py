@@ -129,8 +129,8 @@ def grid_cell_bounds(partition: Partition, j: int) -> tuple:
 class CellStats:
     """Per-cell counts, empirical weights, and the original row indices.
 
-    weights sums to exactly 1: the last entry is defined as one minus the
-    sum of the others rather than by its own ratio.
+    weights sums to exactly 1, in any order of summation: see
+    ``_exact_weights``. An empty cell has weight exactly 0.
     """
 
     counts: np.ndarray
@@ -166,6 +166,21 @@ def _group(partition: Partition, pts: np.ndarray):
     return counts, tuple(np.split(order, np.cumsum(counts[:-1])))
 
 
+def _exact_weights(counts: np.ndarray) -> np.ndarray:
+    """counts / counts.sum(), each rounded to a multiple of 2**-53.
+
+    The rounding leaves whole units of 2**-53 over or short, and the
+    fullest cell takes them. Every multiple of 2**-53 in [0, 1] is a double,
+    so every partial sum of these weights is exact and any order of
+    summation gives exactly 1.0. Empty cells get exactly 0. The fullest
+    cell, at weight 1/m or more, gives up at most m/2 + 1 units, so no weight
+    is negative for m below 2**26 cells.
+    """
+    units = np.rint(counts / counts.sum() * 2.0**53).astype(np.int64)
+    units[np.argmax(counts)] += 2**53 - units.sum()
+    return units * 2.0**-53
+
+
 def split_dataset(partition: Partition, x, y):
     """Split (x, y) by cell.
 
@@ -176,8 +191,7 @@ def split_dataset(partition: Partition, x, y):
     """
     pts, y = kernels._as_data(x, y, partition.dim)
     counts, index_sets = _group(partition, pts)
-    weights = counts / pts.shape[0]
-    weights[-1] = 1.0 - weights[:-1].sum()
+    weights = _exact_weights(counts)
     cells = [(pts[ix], y[ix]) for ix in index_sets]
     stats = CellStats(counts=counts, weights=weights, index_sets=index_sets)
     return stats, cells

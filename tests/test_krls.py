@@ -313,8 +313,10 @@ _PART = build_grid_partition((0.0, 1.0), 4)
         lambda x, y, lam: fit_localized(x, y, _PART, lam, brownian()),
         lambda x, y, lam: fit_localized_nystrom(x, y, _PART, lam, 8, 3, brownian()),
         lambda x, y, lam: fit_distributed_average(x, y, 4, lam, brownian(), 3),
+        lambda x, y, lam: fit_distributed_average(x, y, x.size, lam, brownian(), 3),
     ],
-    ids=["krls", "nystrom", "localized", "localized_nystrom", "distributed"],
+    ids=["krls", "nystrom", "localized", "localized_nystrom", "distributed",
+         "distributed_m_eq_n"],
 )
 def test_min_kernel_prediction_matches_cross_gram(fit, copies, lam, monkeypatch):
     # 200 training points: 200 // copies distinct centers, two of them the

@@ -7,12 +7,14 @@ import pytest
 
 from krlslab import (
     ContractError,
+    DomainError,
     EmptyInputError,
     ZeroModel,
     brownian,
     build_grid_partition,
     build_voronoi_partition,
     cell_seed,
+    cross_gram,
     direct_sum_gram,
     effective_dimension,
     effective_dimension_sum_check,
@@ -23,6 +25,8 @@ from krlslab import (
     fit_localized_nystrom,
     gaussian,
     gram,
+    kernels,
+    krls,
     polynomial,
     spd_solve,
     split_dataset,
@@ -187,6 +191,42 @@ def test_distributed_average_mean_of_chunks_oracle():
     np.testing.assert_array_equal(model.predict(grid), np.mean(preds, axis=0))
     scalar = [fit_krls(x[c], y[c], 1e-2, spec).predict(0.5) for c in np.array_split(perm, 3)]
     assert model.predict(0.5) == float(np.mean(scalar))
+
+
+@pytest.mark.parametrize("m", [1, 4, 64])
+def test_brownian_distributed_average_predicts_by_one_expansion(m, monkeypatch):
+    # the average of m min-kernel fits is one expansion over all n centers,
+    # whatever m is, and never forms a cross-Gram
+    rng = np.random.default_rng(23)
+    x = rng.uniform(0, 1, 256)
+    model = fit_distributed_average(x, rng.standard_normal(256), m, 1e-3, brownian(), 5)
+    t = rng.uniform(0, 1, 300)  # unsorted queries
+    expected = np.mean([chunk.predict(t) for chunk in model.models], axis=0)
+    scale = np.mean([np.abs(cross_gram(chunk.kernel, t, chunk.inputs)) @ np.abs(chunk.alpha)
+                     for chunk in model.models], axis=0)
+    calls = []
+    real_min_expansion = krls._min_expansion
+
+    def counted_min_expansion(*args):
+        calls.append(args[1].size)
+        return real_min_expansion(*args)
+
+    def no_cross_gram(*args):
+        raise AssertionError("the min kernel predicts without a cross-Gram")
+
+    monkeypatch.setattr(krls, "_min_expansion", counted_min_expansion)
+    monkeypatch.setattr(kernels, "cross_gram", no_cross_gram)
+    got = model.predict(t)
+    assert calls == [256]
+    assert np.all(np.abs(got - expected) <= 1e-13 * scale)
+    value = model.predict(0.5)
+    assert isinstance(value, float)
+    assert calls == [256, 256]
+    with pytest.raises(EmptyInputError):
+        model.predict(np.array([]))
+    for outside in (-0.1, 1.5, np.nan):
+        with pytest.raises(DomainError):
+            model.predict([0.5, outside])
 
 
 def test_distributed_average_chunk_count_bounds():

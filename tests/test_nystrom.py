@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import blas
 
 from krlslab import (
     ContractError,
@@ -17,6 +18,7 @@ from krlslab import (
     kernels,
     krls,
     linalg,
+    nystrom,
     polynomial,
     sample_landmarks,
 )
@@ -171,6 +173,75 @@ def test_normal_equations_accumulate_in_place(monkeypatch):
         tracemalloc.stop()
     assert len(peaks) == n // rows - 1
     assert max(peaks) < l * l * 8 / 4
+
+
+def test_normal_equations_hold_one_block(monkeypatch):
+    # Each block of K_nl is let go before the next one is built, so the
+    # fit never holds two of them (256 KB each here).
+    rng = np.random.default_rng(18)
+    n, l, rows = 2048, 256, 128
+    x = rng.uniform(0, 1, n)
+    y = rng.standard_normal(n)
+    monkeypatch.setattr(krls, "_BLOCK_ENTRIES", rows * l)
+    held = []
+    real_cross_gram = kernels.cross_gram
+
+    def measured_cross_gram(spec, a, b):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real_cross_gram(spec, a, b)
+
+    monkeypatch.setattr(kernels, "cross_gram", measured_cross_gram)
+    tracemalloc.start()
+    try:
+        fit_nystrom(x, y, 1e-3, l, seed=5, spec=brownian())
+    finally:
+        tracemalloc.stop()
+    assert len(held) == n // rows
+    assert max(held[1:]) - held[0] < rows * l * 8 / 4
+
+
+def test_normal_equations_mirror_in_place(monkeypatch):
+    # After the last syrk, b's upper triangle is copied onto its lower one
+    # in place: an index-array mirror builds two l(l - 1)/2-entry arrays
+    # (520 KB here) and a gathered copy of the triangle.
+    rng = np.random.default_rng(17)
+    n, l = 1024, 256
+    x = rng.uniform(0, 1, n)
+    y = rng.standard_normal(n)
+    marks, peaks = [], []
+    real_dsyrk = blas.dsyrk
+
+    def marked_dsyrk(*args, **kwargs):
+        c = real_dsyrk(*args, **kwargs)
+        tracemalloc.reset_peak()
+        marks.append(tracemalloc.get_traced_memory()[0])
+        return c
+
+    class MeasuredLinalg:
+        # nystrom looks up linalg._cholesky_solve before it evaluates the
+        # b.copy() handed to it, so the peak read here ends at the attempt
+        def __getattr__(self, name):
+            if name == "_cholesky_solve":
+                peaks.append(tracemalloc.get_traced_memory()[1] - marks[-1])
+            return getattr(linalg, name)
+
+    monkeypatch.setattr(blas, "dsyrk", marked_dsyrk)
+    monkeypatch.setattr(nystrom, "linalg", MeasuredLinalg())
+    tracemalloc.start()
+    try:
+        fit_nystrom(x, y, 1e-3, l, seed=5, spec=brownian())
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1
+    assert peaks[0] < l * l * 8 / 4
+
+
+@pytest.mark.parametrize("l", [1, 63, 64, 65, 200])
+def test_mirror_copies_upper_triangle_across_bands(l):
+    b = np.random.default_rng(l).standard_normal((l, l))
+    expected = np.triu(b) + np.triu(b, 1).T
+    nystrom._mirror_upper(b)
+    np.testing.assert_array_equal(b, expected)
 
 
 def test_blocked_normal_equations_match_one_block(monkeypatch):

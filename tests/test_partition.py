@@ -134,8 +134,8 @@ def test_split_allows_empty_cells():
 
 
 def test_weights_sum_exactly_one():
-    # 1/3-style ratios do not sum to 1 in floating point unless the last
-    # weight is defined as the complement; check the exact-sum contract.
+    # 1/3-style ratios do not sum to 1 in floating point unless the weights
+    # are rounded to a common grid; check the exact-sum contract.
     part = build_grid_partition((0.0, 1.0), 3)
     rng = np.random.default_rng(1)
     for trial in range(20):
@@ -143,6 +143,19 @@ def test_weights_sum_exactly_one():
         stats, _ = split_dataset(part, x, np.zeros(len(x)))
         assert stats.weights.sum() == 1.0
         assert stats.counts.sum() == len(x)
+    # numpy sums eight or more entries pairwise, so a complement taken in
+    # another order misses 1 (and an empty last cell came out at -2.2e-16)
+    cases = [(8, np.random.default_rng(6).uniform(0, 7 / 8, 20)),
+             (8, np.random.default_rng(3).uniform(0, 1, 20))]
+    for m in (8, 16, 64):
+        cases += [(m, rng.uniform(0, rng.uniform(0.5, 1), int(rng.integers(m, 40 * m))))
+                  for trial in range(20)]
+    for m, x in cases:
+        stats, _ = split_dataset(build_grid_partition((0.0, 1.0), m), x, np.zeros(len(x)))
+        assert stats.weights.sum() == 1.0
+        assert np.all(stats.weights[stats.counts == 0] == 0.0)
+        assert np.all(stats.weights >= 0.0)
+        np.testing.assert_allclose(stats.weights, stats.counts / len(x), rtol=0, atol=1e-14)
 
 
 def test_split_preserves_order_and_reassembles():

@@ -376,6 +376,18 @@ _MALFORMED = {
         lambda: {**_FORMAT1_MODELS["distributed_avg"], "models": []},
         "models must hold at least one model",
     ),
+    "zero_model_in_average": (
+        lambda: {**_FORMAT1_MODELS["distributed_avg"],
+                 "models": [_FORMAT1_MODELS["distributed_avg"]["models"][0],
+                            {"format": "krlslab-model/1", "type": "zero"}]},
+        r"models\[1\] is a ZeroModel, not a KrlsModel",
+    ),
+    "other_kernel_in_average": (
+        lambda: {**_FORMAT1_MODELS["distributed_avg"],
+                 "models": [_FORMAT1_MODELS["distributed_avg"]["models"][0],
+                            _FORMAT1_MODELS["voronoi_empty_cell"]["locals"][0]]},
+        r"models\[1\] has kernel KernelSpec\(family='gaussian'",
+    ),
     "target_without_R": (
         lambda: {**_SOBOLEV_RECORD, "target": _drop(_SOBOLEV_RECORD["target"], "R")},
         "missing fields: R$",
