@@ -17,7 +17,7 @@ from .exceptions import ContractError, DomainError, EmptyInputError
 
 FAMILIES = ("gaussian", "laplacian", "brownian", "polynomial")
 
-# Entries of the norm-sum temporary that _sq_dist adds per row block (512 KB).
+# Entries of the temporary that _sq_dist and _dist add per row block (512 KB).
 _ADD_ENTRIES = 2**16
 
 
@@ -196,6 +196,26 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
+def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances |a_i - b_j|, their squares summed coordinate by coordinate.
+
+    Unlike the norm expansion of _sq_dist, a point shared by a and b is at
+    distance exactly 0, and the matrix is exactly symmetric when a is b.
+    Later coordinates are added a few rows at a time, in one buffer.
+    """
+    k = np.subtract(a[:, 0][:, None], b[:, 0][None, :])
+    if a.shape[1] == 1:
+        return np.abs(k, out=k)
+    k *= k
+    step = max(1, _ADD_ENTRIES // b.shape[0])
+    for i in range(0, k.shape[0], step):
+        for j in range(1, a.shape[1]):
+            diff = a[i:i + step, j][:, None] - b[:, j]
+            diff *= diff
+            k[i:i + step] += diff
+    return np.sqrt(k, out=k)
+
+
 def _pairwise(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kernel matrix of a against b, built in its own output buffer."""
     if spec.family == "brownian":
@@ -209,12 +229,7 @@ def _pairwise(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         k = _sq_dist(a, b)
         scale = 2.0 * spec.bandwidth**2
     else:  # laplacian
-        if a.shape[1] == 1:
-            k = np.subtract(a[:, 0][:, None], b[:, 0][None, :])
-            np.abs(k, out=k)
-        else:
-            k = _sq_dist(a, b)
-            np.sqrt(k, out=k)
+        k = _dist(a, b)
         scale = spec.bandwidth
     np.negative(k, out=k)
     k /= scale

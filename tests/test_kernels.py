@@ -112,16 +112,26 @@ def test_gram_exact_symmetry_at_n1500():
 
 def test_cross_gram_agrees_with_gram_in_d3():
     # cross_gram's inner products come from scipy's gemm, gram's from numpy's
-    # x @ x.T; both must give the same kernel, as a C-ordered matrix. (The
-    # laplacian is left out: its square root turns a 1e-16 rounding
-    # difference in a squared distance near zero into 1e-8.)
+    # x @ x.T; both must give the same kernel, as a C-ordered matrix. The
+    # laplacian sums coordinate differences and takes no inner products.
     rng = np.random.default_rng(8)
     cube = ((0.0, 1.0),) * 3
     x = rng.uniform(0.0, 1.0, (300, 3))
-    for spec in (gaussian(0.4, cube), polynomial(3, 1.0, cube)):
+    for spec in (gaussian(0.4, cube), laplacian(0.7, cube), polynomial(3, 1.0, cube)):
         k = cross_gram(spec, x, x.copy())
         assert k.flags.c_contiguous
         np.testing.assert_allclose(k, gram(spec, x), rtol=1e-12, atol=1e-12, err_msg=f"{spec}")
+
+
+def test_laplacian_diagonal_is_exactly_one_in_d3():
+    # the square root of the norm expansion (|a|^2 + |b|^2) - 2 a.b would put
+    # this diagonal up to 3e-8 off 1; summed coordinate differences give 0
+    x = np.random.default_rng(8).uniform(0.0, 1.0, (300, 3))
+    spec = laplacian(0.7, ((0.0, 1.0),) * 3)
+    k = gram(spec, x)
+    np.testing.assert_array_equal(np.diagonal(k), np.ones(300))
+    np.testing.assert_array_equal(np.diagonal(cross_gram(spec, x, x.copy())), np.ones(300))
+    np.testing.assert_array_equal(k, k.T)
 
 
 def test_gram_matches_pointwise_evaluation():

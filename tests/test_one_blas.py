@@ -4,18 +4,22 @@ numpy and scipy each load their own OpenBLAS with its own thread pool, and a
 fit that switches between them leaves one pool spinning on the cores the
 other needs. Every product, dot and norm therefore calls
 ``scipy.linalg.blas``, the library behind scipy's LAPACK. This test walks the
-syntax tree of every module and fails on a numpy product or norm.
+syntax tree of every module and fails on a numpy product, norm or
+numpy.linalg call.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "krlslab"
 
-# numpy functions that reach numpy's BLAS
-_NUMPY_BLAS = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot"}
+# numpy functions that reach numpy's BLAS, besides every numpy.linalg function
+_NUMPY_BLAS = {
+    "dot", "matmul", "inner", "vdot", "einsum", "tensordot", "vecdot", "matvec", "vecmat",
+}
 
 # (module, source line) -> why the numpy product stays
 _ALLOWED = {
@@ -39,7 +43,11 @@ def _numpy_blas_uses(path: Path):
             found = (
                 func.attr == "dot"
                 or (owner in ("np", "numpy") and func.attr in _NUMPY_BLAS)
-                or (owner in ("np.linalg", "numpy.linalg") and func.attr == "norm")
+                # a numpy.linalg exception class is raised, not a BLAS call
+                or (
+                    owner in ("np.linalg", "numpy.linalg")
+                    and not isinstance(getattr(np.linalg, func.attr, None), type)
+                )
             )
         else:
             found = False
@@ -66,9 +74,21 @@ def test_allowed_products_still_exist(module, line):
 @pytest.mark.parametrize(
     "snippet",
     ["y = a @ b", "a @= b", "y = np.dot(a, b)", "y = a.dot(b)", "y = np.linalg.norm(a)",
-     "y = np.einsum('i,i', a, b)", "y = numpy.matmul(a, b)", "y = np.tensordot(a, b)"],
+     "y = np.einsum('i,i', a, b)", "y = numpy.matmul(a, b)", "y = np.tensordot(a, b)",
+     "y = np.linalg.solve(a, b)", "y = np.linalg.cholesky(a)", "y = np.linalg.eigh(a)",
+     "y = np.linalg.inv(a)", "y = np.linalg.lstsq(a, b)", "y = numpy.linalg.multi_dot([a, b])",
+     "y = np.vecdot(a, b)", "y = np.matvec(a, b)", "y = np.vecmat(a, b)"],
 )
 def test_guard_sees_numpy_blas(tmp_path, snippet):
     path = tmp_path / "mod.py"
     path.write_text(f"import numpy as np\n{snippet}\n")
     assert [line for _, line in _numpy_blas_uses(path)] == [snippet]
+
+
+def test_guard_passes_linalg_exceptions(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import numpy as np\ntry:\n    raise np.linalg.LinAlgError('x')\n"
+        "except np.linalg.LinAlgError:\n    pass\n"
+    )
+    assert list(_numpy_blas_uses(path)) == []

@@ -60,15 +60,43 @@ def _direct_series(coeffs, t):
     return math.sqrt(2.0) * np.sin(np.outer(t, (k - 0.5) * np.pi)) @ coeffs
 
 
-@pytest.mark.parametrize("k_trunc", [1, 7, 200, 1000])
+@pytest.mark.parametrize("k_trunc", [1, 7, 200, 1000, 2000])
 @pytest.mark.parametrize("r", [0.1, 0.25, 0.5])
 def test_clenshaw_series_matches_sine_matrix(r, k_trunc):
+    # _series against the N x K sine matrix, up to 2000 terms
     rng = np.random.default_rng(16)
     t = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 1001), rng.random(1000)])
     coeffs = make_sobolev_target(r, 1.0, k_trunc).coefficients
     want = _direct_series(coeffs, t)
     got = synth._series(coeffs, t)
     assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+
+
+def test_series_at_zero_and_on_no_points():
+    coeffs = make_sobolev_target(0.5, 1.0).coefficients
+    assert synth._series(coeffs, np.array([0.0]))[0] == 0.0
+    assert synth._series(coeffs, np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.1)),
+        piecewise_task(0.1, 0.5, 0.25, 1.0, 16, {7}, NoiseSpec("gaussian", 0.1)),
+    ],
+    ids=["sobolev", "piecewise"],
+)
+def test_target_value_is_independent_of_its_batch(task):
+    # a point's value is the same alone, in any sub-batch, or in the full
+    # batch, on both sides of the block size of _series; batches of fewer
+    # than 97 points are sampled every 97 points
+    xs = gen_inputs(task, 20000, 21)
+    full = task.target(xs)
+    for size in (1, 7, 8, 2047, 2048, 2049, 20000):
+        for i in range(0, 20000, max(size, 97)):
+            np.testing.assert_array_equal(
+                task.target(xs[i:i + size]), full[i:i + size], err_msg=f"size {size} at {i}"
+            )
 
 
 def test_target_evaluation_memory_is_linear_in_points():
@@ -223,6 +251,23 @@ def test_mise_exact_cases():
     assert mise_estimate(shifted, task, 4000, seed=10) == 1.0
     with pytest.raises(ContractError):
         mise_estimate(task.target, task, 0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "bad, got",
+    [(lambda xs: np.zeros(3)[:1], r"\(1,\)"), (lambda xs: 0.0, r"\(\)"),
+     (lambda xs: np.zeros(7), r"\(7,\)")],
+    ids=["one-value", "scalar", "seven-values"],
+)
+def test_scores_need_one_prediction_per_test_point(bad, got):
+    # a short output must not broadcast into an error value
+    task = sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.1))
+    part = build_grid_partition((0.0, 1.0), 5)
+    want = rf"shape {got}, want \(100,\)"
+    with pytest.raises(ContractError, match=want):
+        mise_estimate(bad, task, 100, 0)
+    with pytest.raises(ContractError, match=want):
+        cellwise_mse(bad, task, part, 100, 0)
 
 
 def test_mise_zero_predictor_matches_second_moment():
