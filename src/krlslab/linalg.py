@@ -20,6 +20,18 @@ symmetry check through the private ``_spd_solve`` and hand it a function
 that builds the matrix, so that a dense fit holds one n x n buffer and the
 jitter retry factors a rebuilt Gram. The public ``spd_solve`` factors a
 copy and leaves its argument unchanged.
+
+``_refined_solve`` is the mixed-precision solve of LAPACK's dsposv (Buttari
+et al., IJHPCA 2007) for a matrix the caller holds in float32 and can
+multiply exactly in float64: a min-kernel fit above one row block, whose
+one n x n buffer is then float32. It factors that buffer in place, refines
+the solution against the float64 product until dsposv's stopping rule
+holds, and accepts it only within the residual tolerance of ``spd_solve``.
+When the factorization fails or the refinement stalls, it raises and frees
+the factor, and the caller falls back to ``_spd_solve``, so a fit never
+holds more than a float64 solve would.
+
+Every LAPACK call of the package is made here.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from .exceptions import ContractError, EmptyInputError, IllConditionedError
 
@@ -37,6 +49,8 @@ SYMMETRY_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-10
 JITTER_SCALE = 1e-12
 PINV_RTOL = 1e-10
+# Most correction steps of a refined solve, as in LAPACK's dsposv.
+REFINE_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -107,6 +121,10 @@ def spd_solve(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
         If factorization (or the residual check) still fails after adding a
         diagonal jitter of 1e-12 * trace(a) / n to a fresh copy. The jitter
         used is attached to the exception.
+
+    The retry rescues only right-hand sides that lie nearly in the range of
+    a: a component in the null space of a singular a comes back divided by
+    the jitter, which misses the residual tolerance.
     """
     a = _require_symmetric(a, "spd_solve")
     if a.shape[0] == 0:
@@ -172,9 +190,59 @@ def _cholesky_solve(a: np.ndarray, diag: float, b: np.ndarray) -> np.ndarray:
     else:
         residual = blas.dsymm(1.0, a.T, x, beta=-1.0, c=b)
     residual += ((d - a.diagonal()) * x.T).T
-    tol = RESIDUAL_RTOL * max(_norm(b), np.finfo(float).tiny)
-    if not _norm(residual) <= tol:
+    _check_residual(residual, b)
+    return x
+
+
+def _check_residual(residual: np.ndarray, b: np.ndarray):
+    """Raise LinAlgError unless |residual| <= RESIDUAL_RTOL * |b|; a NaN
+    residual fails."""
+    if not _norm(residual) <= RESIDUAL_RTOL * max(_norm(b), np.finfo(float).tiny):
         raise np.linalg.LinAlgError("residual above tolerance")
+
+
+def _refined_solve(k32: np.ndarray, apply: Callable[[np.ndarray], np.ndarray],
+                   shift: float, b: np.ndarray) -> np.ndarray:
+    """Solve (K + shift * I) x = b to float64 accuracy from a float32 factor.
+
+    k32 is K rounded to float32, C-ordered and exactly symmetric, and the
+    solve consumes it: the shift goes onto its diagonal and spotrf writes
+    the factor over it in place. apply(v) must return K v in float64 for a
+    float vector v, and K must be entrywise nonnegative, so that
+    |K|_inf = max(apply(1)). Each step solves the float32 system for the
+    float64 residual b - (apply(x) + shift * x) and adds the correction to
+    x. The solve stops by the rule of LAPACK's dsposv, once
+    |r|_inf <= |x|_inf * |K + shift * I|_inf * eps * sqrt(n), and returns x
+    only if the residual also meets spd_solve's RESIDUAL_RTOL * |b|_2.
+
+    Raises LinAlgError when spotrf fails, when a step does not halve the
+    residual's largest entry, a NaN included, or when REFINE_STEPS
+    corrections leave it above the stopping bound. The factor lives as long
+    as that exception, so a caller drops it before it solves in float64.
+    """
+    n = k32.shape[0]
+    k32.flat[:: n + 1] += np.float32(shift)
+    # k32.T is Fortran-ordered, so spotrf factors it without a copy.
+    factor, info = lapack.spotrf(k32.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"spotrf failed with info {info}")
+
+    def correction(r):
+        return lapack.spotrs(factor, r.astype(np.float32), lower=1)[0].astype(float)
+
+    bound = (apply(np.ones(n)).max() + shift) * np.finfo(float).eps * np.sqrt(n)
+    x = correction(b)
+    last = np.inf
+    for step in range(REFINE_STEPS + 1):
+        residual = b - apply(x) - shift * x
+        size = np.abs(residual).max()
+        if size <= np.abs(x).max() * bound:
+            break
+        if step == REFINE_STEPS or not size <= last / 2:
+            raise np.linalg.LinAlgError(f"refinement stalled at residual {size:.3e}")
+        last = size
+        x += correction(residual)
+    _check_residual(residual, b)
     return x
 
 

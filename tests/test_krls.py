@@ -30,6 +30,7 @@ from krlslab import (
     kernels,
     krls,
     laplacian,
+    linalg,
     polynomial,
 )
 
@@ -244,6 +245,127 @@ def test_jitter_retry_rebuilds_the_gram(monkeypatch):
         fit_krls(x, np.tile([1.0, -1.0], 100), 1e-18, spec)
     assert err.value.jitter == pytest.approx(1e-12)
     assert built == [200, 200]
+
+
+@pytest.mark.parametrize(
+    "spec, copies, labels, fails",
+    [
+        (gaussian(0.5), 10, "sin", True),
+        (brownian(), 100, "normal", True),
+        (brownian(), 100, "sin", False),
+    ],
+    ids=["gaussian-sin", "brownian-normal", "brownian-sin"],
+)
+def test_jitter_retry_rescues_only_labels_in_range(spec, copies, labels, fails, monkeypatch):
+    # 20 distinct points: at lam = 1e-16 the shift is below rounding, so
+    # every attempt factors a Gram of rank 20 at most. A min-kernel Gram of
+    # 20 distinct points is well conditioned and sin(6x) lies in its range;
+    # a gaussian(0.5) one is numerically singular, and normal labels have a
+    # component in the null space of any rank-20 Gram. The brownian fits,
+    # at n = 2000, run the whole chain: float32, float64, then the jitter.
+    base = np.random.default_rng(17).uniform(0, 1, 20)
+    x = np.repeat(base, copies)
+    y = np.sin(6 * x) if labels == "sin" else np.random.default_rng(18).standard_normal(x.size)
+    built = []
+    real_gram = kernels.gram
+
+    def counting_gram(spec, pts):
+        built.append(len(pts))
+        return real_gram(spec, pts)
+
+    monkeypatch.setattr(kernels, "gram", counting_gram)
+    if not fails:
+        model = fit_krls(x, y, 1e-16, spec)
+        assert np.all(np.isfinite(model.alpha))
+        return
+    with pytest.raises(IllConditionedError) as err:
+        fit_krls(x, y, 1e-16, spec)
+    assert err.value.jitter == pytest.approx(1e-12 * np.trace(real_gram(spec, x)) / x.size)
+    assert built == [x.size, x.size]
+
+
+def _refined_failures(monkeypatch):
+    """Record the error of every refined solve fit_krls attempts; None for
+    a refined solve that returned."""
+    failures = []
+    real = linalg._refined_solve
+
+    def recording(*args):
+        try:
+            alpha = real(*args)
+        except np.linalg.LinAlgError as error:
+            failures.append(str(error))
+            raise
+        failures.append(None)
+        return alpha
+
+    monkeypatch.setattr(linalg, "_refined_solve", recording)
+    return failures
+
+
+def _float64_alpha(spec, x, y, lam):
+    return linalg._spd_solve(lambda: gram(spec, x), lam * len(y), y)
+
+
+@pytest.mark.parametrize(
+    "lam, failure", [(1e-12, "spotrf failed"), (1e-9, "refinement stalled")],
+    ids=["spotrf-fails", "refinement-stalls"],
+)
+def test_refined_fit_falls_back_to_float64_bitwise(lam, failure, monkeypatch):
+    # on [0.9, 1] the min-kernel Gram is 0.9 plus a small brownian part, so
+    # float32 loses most of it: spotrf fails at lam = 1e-12 and the float32
+    # factor is too far off to refine at lam = 1e-9
+    n = 2048
+    rng = np.random.default_rng(19)
+    x = rng.uniform(0.9, 1.0, n)
+    y = np.sin(6 * x)
+    failures = _refined_failures(monkeypatch)
+    model = fit_krls(x, y, lam, brownian())
+    assert len(failures) == 1 and failures[0].startswith(failure)
+    np.testing.assert_array_equal(model.alpha, _float64_alpha(brownian(), x, y, lam))
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_refined_fit_matches_float64_solve(n, monkeypatch):
+    # lam = n^-0.4 is the rate experiment's schedule for the brownian task
+    rng = np.random.default_rng(20)
+    x = rng.uniform(0, 1, n)
+    y = np.sin(6 * x) + rng.standard_normal(n)
+    lam = n ** -0.4
+    failures = _refined_failures(monkeypatch)
+    model = fit_krls(x, y, lam, brownian())
+    assert failures == [None]
+    expected = _float64_alpha(brownian(), x, y, lam)
+    assert np.linalg.norm(model.alpha - expected) <= 1e-12 * np.linalg.norm(expected)
+    residual = gram(brownian(), x) @ model.alpha + lam * n * model.alpha - y
+    assert np.linalg.norm(residual) <= linalg.RESIDUAL_RTOL * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("outside", [1.5, -0.1, np.nan])
+def test_refined_fit_checks_the_domain_first(outside, monkeypatch):
+    x = np.random.default_rng(21).uniform(0, 1, 2048)
+    x[100] = outside
+    failures = _refined_failures(monkeypatch)
+    with pytest.raises(DomainError):
+        fit_krls(x, np.zeros(x.size), 1e-3, brownian())
+    assert failures == []
+
+
+def test_refined_fit_holds_one_float32_gram(monkeypatch):
+    # above one row block, a min-kernel fit holds its Gram in float32 alone
+    n = 2048
+    rng = np.random.default_rng(16)
+    x = rng.uniform(0, 1, n)
+    y = rng.standard_normal(n)
+    failures = _refined_failures(monkeypatch)
+    tracemalloc.start()
+    try:
+        fit_krls(x, y, 1e-3, brownian())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failures == [None]
+    assert peak < 1.5 * 4 * n * n
 
 
 @pytest.mark.parametrize(

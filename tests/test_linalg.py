@@ -216,6 +216,27 @@ def test_cholesky_solve_copies_no_matrix(cols):
     assert peak < n * n * 8 / 4
 
 
+def test_refined_solve_factors_float32_in_place_and_refines_in_float64():
+    # a min-kernel Gram: entrywise positive, as the stopping rule assumes
+    rng = np.random.default_rng(10)
+    n = 300
+    t = rng.uniform(0, 1, n)
+    a = np.minimum.outer(t, t)
+    a32 = a.astype(np.float32)
+    b = rng.standard_normal(n)
+    shifted = a + 0.5 * np.eye(n)
+    x = linalg._refined_solve(a32, lambda v: a @ v, 0.5, b)
+    expected = np.linalg.solve(shifted, b)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    # spotrf wrote the factor over the upper triangle of the one buffer
+    upper = np.triu(a32).astype(float)
+    np.testing.assert_allclose(upper.T @ upper, shifted, rtol=0, atol=1e-5)
+    # refined against the wrong product, the float32 factor cannot halve
+    # the residual in a step
+    with pytest.raises(np.linalg.LinAlgError, match="refinement stalled"):
+        linalg._refined_solve(a.astype(np.float32), lambda v: 2 * a @ v, 0.5, b)
+
+
 def test_pinv_checks_rhs_before_eigh(monkeypatch):
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh ran before the right-hand side check")

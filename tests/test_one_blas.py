@@ -5,7 +5,9 @@ fit that switches between them leaves one pool spinning on the cores the
 other needs. Every product, dot and norm therefore calls
 ``scipy.linalg.blas``, the library behind scipy's LAPACK. This test walks the
 syntax tree of every module and fails on a numpy product, norm or
-numpy.linalg call.
+numpy.linalg call. It also keeps every factorization in ``linalg``: no other
+module may reach scipy's LAPACK, through ``scipy.linalg.lapack`` or any
+other ``scipy.linalg`` function.
 """
 
 import ast
@@ -53,6 +55,66 @@ def _numpy_blas_uses(path: Path):
             found = False
         if found:
             yield node.lineno, lines[node.lineno - 1].strip()
+
+
+def _lapack_uses(path: Path):
+    """(line number, source line) of every import or attribute in path that
+    reaches scipy.linalg other than through its blas module."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            found = node.level == 0 and (
+                (module == "scipy" and any(a.name == "linalg" for a in node.names))
+                or (module == "scipy.linalg" and any(a.name != "blas" for a in node.names))
+                or (module.startswith("scipy.linalg.") and module != "scipy.linalg.blas")
+            )
+        elif isinstance(node, ast.Import):
+            found = any(a.name.startswith("scipy.linalg") and a.name != "scipy.linalg.blas"
+                        for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            found = ast.unparse(node.value) == "scipy.linalg" and node.attr != "blas"
+        else:
+            found = isinstance(node, ast.Name) and node.id == "lapack"
+        if found:
+            yield node.lineno, lines[node.lineno - 1].strip()
+
+
+def test_only_linalg_calls_lapack():
+    offenders = [
+        f"{path.name}:{lineno}: {line}"
+        for path in sorted(_SRC.glob("*.py"))
+        if path.name != "linalg.py"
+        for lineno, line in _lapack_uses(path)
+    ]
+    assert offenders == []
+    # and the guard sees linalg's own factorizations
+    assert list(_lapack_uses(_SRC / "linalg.py"))
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    ["from scipy.linalg import lapack", "from scipy.linalg import blas, cho_factor",
+     "from scipy.linalg.lapack import dpotrf", "from scipy import linalg",
+     "import scipy.linalg", "import scipy.linalg.lapack", "y = scipy.linalg.eigh(a)",
+     "y = scipy.linalg.lapack.dpotrf(a)", "y = lapack.dpotrf(a)"],
+)
+def test_lapack_guard_sees_lapack(tmp_path, snippet):
+    path = tmp_path / "mod.py"
+    path.write_text(f"{snippet}\n")
+    assert [line for _, line in _lapack_uses(path)] == [snippet]
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    ["from scipy.linalg import blas", "from scipy.linalg.blas import dgemm",
+     "from . import linalg", "y = linalg.spd_solve(a, 0.0, b)", "y = blas.dgemm(1.0, a, b)"],
+)
+def test_lapack_guard_passes_blas_and_krlslab_linalg(tmp_path, snippet):
+    path = tmp_path / "mod.py"
+    path.write_text(f"{snippet}\n")
+    assert list(_lapack_uses(path)) == []
 
 
 def test_only_scipy_blas_in_package():
