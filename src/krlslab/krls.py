@@ -120,7 +120,11 @@ def _min_expansion(t: np.ndarray, c: np.ndarray, alpha: np.ndarray) -> np.ndarra
     alpha_j t on either side.
     """
     order = np.argsort(c, kind="stable")
-    c, alpha = c[order], alpha[order]
+    return _sorted_min_expansion(t, c[order], alpha[order])
+
+
+def _sorted_min_expansion(t: np.ndarray, c: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``_min_expansion`` for centers c already in ascending order."""
     prefix = np.concatenate(([0.0], np.cumsum(alpha * c)))
     suffix = np.concatenate((np.cumsum(alpha[::-1])[::-1], [0.0]))
     k = np.searchsorted(c, t, side="right")

@@ -6,10 +6,13 @@ solve the explicit normal equations
 
     (K_nl^T K_nl + n * lam * K_ll) alpha = K_nl^T y
 
-whose left and right sides are accumulated in place by scipy's syrk and
-gemv over row blocks of K_nl of the size ``krls._row_blocks`` gives, so the
-n x l cross-Gram is never stored whole: the fit holds one block at a time,
-and no block adds an l x l matrix.
+For the min kernel both sides have a closed form in prefix sums over the
+sorted inputs (see ``_min_nystrom_solve``): O(n log n + l^2) time and
+O(n + l^2) memory, with no cross-Gram at all. For other kernels they are
+accumulated in place by scipy's syrk and gemv over row blocks of K_nl of
+the size ``krls._row_blocks`` gives, so the n x l cross-Gram is never
+stored whole: the fit holds one block at a time, and no block adds an
+l x l matrix, for O(n l^2) time.
 They are solved by Cholesky, falling back to an eigenvalue-truncated
 pseudo-inverse when factorization or its residual check fails, so
 rank-deficient landmark sets (duplicate coordinates, l near the numerical
@@ -92,7 +95,10 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
     spec : kernel
 
     With l = n and a numerically positive definite Gram this reproduces the
-    full KRLS solution, since the search spaces coincide.
+    full KRLS solution, since the search spaces coincide. A min-kernel fit
+    builds its normal equations from prefix sums in O(n log n + l^2) time;
+    they agree with the blocked syrk build to rounding, not bit for bit.
+    Other kernels stream K_nl in row blocks in O(n l^2) time.
     """
     if not lam > 0:
         raise ContractError("lam must be positive")
@@ -100,6 +106,30 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
     n = pts.shape[0]
     idx = sample_landmarks(n, l, seed)
     landmarks = pts[idx]
+    if spec.family == "brownian":
+        kernels._check_in_box(pts, spec.domain)
+        alpha = _min_nystrom_solve(pts[:, 0], y, landmarks[:, 0], n * lam)
+    else:
+        b, rhs = _blocked_normal_equations(spec, pts, y, landmarks, n * lam)
+        try:
+            # on a copy: the attempt consumes its matrix, and the fallback needs b
+            alpha = linalg._cholesky_solve(b.copy(), 0.0, rhs)
+        except np.linalg.LinAlgError:
+            alpha = linalg.pinv_solve(b, rhs)
+    return NystromModel(
+        landmarks=landmarks,
+        landmark_indices=idx,
+        alpha=alpha,
+        lam=float(lam),
+        kernel=spec,
+        seed=seed,
+    )
+
+
+def _blocked_normal_equations(spec: KernelSpec, pts: np.ndarray, y: np.ndarray,
+                              landmarks: np.ndarray, shift: float):
+    """b = K_nl^T K_nl + shift * K_ll and rhs = K_nl^T y, one row block of
+    K_nl at a time; b is exactly symmetric."""
     # syrk and gemv accumulate into b and rhs in place: c = b.T and k.T are
     # Fortran-ordered, so scipy's BLAS copies neither. syrk fills c's lower
     # triangle, b's upper one, which is mirrored once at the end so that b
@@ -107,8 +137,9 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
     # as it goes, so only a block within one panel (a few hundred rows) is
     # bitwise numpy's K_nl.T @ K_nl + n * lam * K_ll; longer ones agree to
     # rounding.
+    n, l = pts.shape[0], landmarks.shape[0]
     b = kernels.gram(spec, landmarks)
-    b *= n * lam
+    b *= shift
     c = b.T
     rhs = np.zeros(l)
     for rows in krls._row_blocks(n, l):
@@ -118,16 +149,51 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
         del k  # let the block go before the next one is built
     b = c.T
     _mirror_upper(b)
+    return b, rhs
+
+
+def _min_nystrom_solve(t: np.ndarray, y: np.ndarray, z: np.ndarray, shift: float):
+    """alpha of a min-kernel Nystrom fit on inputs t with landmarks z, in
+    z's order.
+
+    The normal equations are built for the landmarks in ascending order,
+    solved, and alpha scattered back. With the inputs sorted, N(s) =
+    #{t_i <= s}, S1(s) = sum_{t_i <= s} t_i and S2(s) = sum_{t_i <= s} t_i^2,
+    entry a <= c of b is
+
+        S2(z_a) + z_a (S1(z_c) - S1(z_a) + z_c (n - N(z_c))) + shift * z_a,
+
+    since sum_i min(t_i, z_a) min(t_i, z_c) splits at z_a and z_c, and b is
+    mirrored from that triangle. rhs is ``krls._sorted_min_expansion`` with
+    inputs and landmarks swapped, on the same sort. After the O(n log n)
+    sort, b costs O(l^2): the Cholesky attempt consumes it, so the
+    pseudo-inverse fallback builds it again rather than the fit holding a
+    copy.
+    """
+    n = t.shape[0]
+    landmark_order = np.argsort(z, kind="stable")
+    z = z[landmark_order]
+    order = np.argsort(t, kind="stable")
+    t, y = t[order], y[order]
+    rhs = krls._sorted_min_expansion(z, t, y)
+    k = np.searchsorted(t, z, side="right")
+    s1 = np.concatenate(([0.0], np.cumsum(t)))[k]
+    s2 = np.concatenate(([0.0], np.cumsum(t * t)))[k]
+    col = z * (n - k)
+    row = s2 + shift * z
+
+    def normal_matrix():
+        b = s1 - s1[:, None]  # S1(z_c) - S1(z_a), C-ordered
+        b += col
+        b *= z[:, None]
+        b += row[:, None]
+        _mirror_upper(b)
+        return b
+
     try:
-        # on a copy: the attempt consumes its matrix, and the fallback needs b
-        alpha = linalg._cholesky_solve(b.copy(), 0.0, rhs)
+        alpha = linalg._cholesky_solve(normal_matrix(), 0.0, rhs)
     except np.linalg.LinAlgError:
-        alpha = linalg.pinv_solve(b, rhs)
-    return NystromModel(
-        landmarks=landmarks,
-        landmark_indices=idx,
-        alpha=alpha,
-        lam=float(lam),
-        kernel=spec,
-        seed=seed,
-    )
+        alpha = linalg.pinv_solve(normal_matrix(), rhs)
+    out = np.empty_like(alpha)
+    out[landmark_order] = alpha
+    return out

@@ -8,6 +8,7 @@ from scipy.linalg import blas
 
 from krlslab import (
     ContractError,
+    DomainError,
     EmptyInputError,
     brownian,
     fit_krls,
@@ -15,6 +16,7 @@ from krlslab import (
     gaussian,
     gram,
     cross_gram,
+    laplacian,
     kernels,
     krls,
     linalg,
@@ -168,7 +170,7 @@ def test_normal_equations_accumulate_in_place(monkeypatch):
     monkeypatch.setattr(kernels, "cross_gram", measured_cross_gram)
     tracemalloc.start()
     try:
-        fit_nystrom(x, y, 1e-3, l, seed=5, spec=brownian())
+        fit_nystrom(x, y, 1e-3, l, seed=5, spec=laplacian(0.5))
     finally:
         tracemalloc.stop()
     assert len(peaks) == n // rows - 1
@@ -193,7 +195,7 @@ def test_normal_equations_hold_one_block(monkeypatch):
     monkeypatch.setattr(kernels, "cross_gram", measured_cross_gram)
     tracemalloc.start()
     try:
-        fit_nystrom(x, y, 1e-3, l, seed=5, spec=brownian())
+        fit_nystrom(x, y, 1e-3, l, seed=5, spec=laplacian(0.5))
     finally:
         tracemalloc.stop()
     assert len(held) == n // rows
@@ -229,11 +231,102 @@ def test_normal_equations_mirror_in_place(monkeypatch):
     monkeypatch.setattr(nystrom, "linalg", MeasuredLinalg())
     tracemalloc.start()
     try:
-        fit_nystrom(x, y, 1e-3, l, seed=5, spec=brownian())
+        fit_nystrom(x, y, 1e-3, l, seed=5, spec=laplacian(0.5))
     finally:
         tracemalloc.stop()
     assert len(peaks) == 1
     assert peaks[0] < l * l * 8 / 4
+
+
+def test_min_kernel_fit_skips_cross_gram_and_syrk(monkeypatch):
+    # The prefix-sum build holds O(n) sorted inputs and sums, then b and the
+    # Cholesky solve: 1.6 MB here, against a bound of four l x l matrices
+    # (2 MB) plus eight n-vectors (2 MB). One row block of K_nl alone is 8 MB.
+    rng = np.random.default_rng(19)
+    n, l = 32768, 256
+    x = rng.uniform(0, 1, n)
+    y = rng.standard_normal(n)
+    calls = []
+
+    def refused(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(name)
+        return call
+
+    monkeypatch.setattr(kernels, "cross_gram", refused("cross_gram"))
+    monkeypatch.setattr(blas, "dsyrk", refused("dsyrk"))
+    tracemalloc.start()
+    try:
+        fit_nystrom(x, y, 1e-3, l, seed=5, spec=brownian())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 4 * 8 * l * l + 8 * 8 * n
+
+
+def _min_case(name):
+    rng = np.random.default_rng(23)
+    if name == "duplicates":
+        x = np.repeat(rng.uniform(0, 1, 20), 3)
+        return x, 30
+    if name == "endpoints":
+        x = rng.uniform(0, 1, 50)
+        x[7], x[31] = 0.0, 1.0
+        return x, 50
+    n, l = {"uniform": (300, 40), "one_landmark": (60, 1), "all_landmarks": (64, 64)}[name]
+    return rng.uniform(0, 1, n), l
+
+
+@pytest.mark.parametrize(
+    "case", ["uniform", "duplicates", "endpoints", "one_landmark", "all_landmarks"]
+)
+def test_min_normal_equations_match_blocked_build(case, monkeypatch):
+    x, l = _min_case(case)
+    n, lam = x.size, 1e-2
+    y = np.sin(6 * x) + np.random.default_rng(24).standard_normal(n)
+    spec = brownian()
+    systems = []
+    real_solve = linalg._cholesky_solve
+
+    def capturing_solve(b, shift, rhs):
+        systems.append((b.copy(), rhs.copy()))
+        return real_solve(b, shift, rhs)
+
+    monkeypatch.setattr(linalg, "_cholesky_solve", capturing_solve)
+    model = fit_nystrom(x, y, lam, l, seed=4, spec=spec)
+    (b, rhs), = systems
+    draw = model.landmarks[:, 0]
+    if l > 1:
+        assert not np.all(np.diff(draw) >= 0)  # the draw is unsorted
+    # the closed form is solved in ascending landmark order
+    order = np.argsort(draw, kind="stable")
+    b_ref, rhs_ref = nystrom._blocked_normal_equations(
+        spec, x[:, None], y, model.landmarks[order], n * lam
+    )
+    np.testing.assert_array_equal(b, b.T)
+    assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+    assert np.abs(rhs - rhs_ref).max() <= 1e-13 * np.abs(rhs_ref).max()
+    # alpha comes back in draw order: it solves the draw-ordered system
+    b_draw, rhs_draw = nystrom._blocked_normal_equations(
+        spec, x[:, None], y, model.landmarks, n * lam
+    )
+    residual = b_draw @ model.alpha - rhs_draw
+    assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs_draw)
+
+
+@pytest.mark.parametrize("outside", [1.5, -0.1, np.nan])
+def test_min_kernel_fit_checks_the_domain_first(outside, monkeypatch):
+    x = np.random.default_rng(22).uniform(0, 1, 256)
+    x[100] = outside
+    assert 100 not in sample_landmarks(256, 8, seed=5)  # not a landmark
+    solves = []
+    for name in ("_cholesky_solve", "pinv_solve"):
+        monkeypatch.setattr(linalg, name, lambda *args, name=name: solves.append(name))
+    with pytest.raises(DomainError):
+        fit_nystrom(x, np.zeros(x.size), 1e-3, 8, seed=5, spec=brownian())
+    assert solves == []
 
 
 @pytest.mark.parametrize("l", [1, 63, 64, 65, 200])

@@ -308,11 +308,31 @@ def _without_nulls(record):
     return record
 
 
+# Records whose fit has since moved by rounding: the min-kernel Nystrom
+# normal equations are now summed by prefix sums, not by syrk, and the fresh
+# alphas differ from the recorded ones by up to 8.1e-15 relative.
+_FORMAT1_ROUNDED = {"localized_nystrom"}
+
+
+def _with_recorded_alphas(model, literal):
+    """The fresh localized fit with each cell's alpha taken from the record;
+    the landmarks must match the record exactly."""
+    cells = []
+    for local, record in zip(model.local_models, literal["locals"]):
+        np.testing.assert_array_equal(local.landmarks, record["landmarks"])
+        np.testing.assert_array_equal(local.landmark_indices, record["landmark_indices"])
+        np.testing.assert_allclose(local.alpha, record["alpha"], rtol=1e-13, atol=0)
+        cells.append(dataclasses.replace(local, alpha=np.array(record["alpha"])))
+    return dataclasses.replace(model, local_models=tuple(cells))
+
+
 @pytest.mark.parametrize("name", sorted(_FORMAT1_MODELS))
 def test_format1_model_records_decode(name):
     literal = _FORMAT1_MODELS[name]
     back = serialize.model_from_dict(literal)
     model = _FORMAT1_FITS[name]()
+    if name in _FORMAT1_ROUNDED:
+        model = _with_recorded_alphas(model, literal)
     dim = model.partition.dim if hasattr(model, "partition") else 1
     pts = np.random.default_rng(0).uniform(0.0, 1.0, (33, dim))
     np.testing.assert_array_equal(back.predict(pts), model.predict(pts))
