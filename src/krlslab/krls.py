@@ -12,15 +12,20 @@ forms the N x n cross-Gram in row blocks and multiplies it by alpha, in
 O(N n) time and one block of memory.
 
 A fit holds one n x n Gram and factors it in place. A min-kernel Gram
-larger than one row block (n > 1024) is held in float32, at half the
-memory, and factored by spotrf; the solve is refined in float64 against
-``_min_expansion`` until it matches the float64 solve to rounding. If the
-float32 factorization fails or the refinement stalls, the float32 Gram is
-freed and the fit solves in float64 as every other fit does.
+larger than one row block (n > 1024) is held in float32 and factored by
+spotrf, which reads one triangle: only that triangle is written, into an
+anonymous mapping without huge pages, so the untouched half is never
+faulted in and the fit keeps about 2 n^2 bytes resident, a quarter of the
+float64 Gram. The solve is refined in float64 against ``_min_expansion``,
+by two triangular solves on the factor per step, until it matches the
+float64 solve to rounding. If the float32 factorization fails or the
+refinement stalls, the mapping is freed and the fit solves in float64 as
+every other fit does.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +40,10 @@ from .kernels import KernelSpec
 # being mapped and page-faulted in afresh. On the benchmark, 2**18 to 2**21
 # scored alike and peak RSS grew with the block by a few MB.
 _BLOCK_ENTRIES = 2**20
+# Rows per band of a triangle written or mirrored band by band, and the strict
+# lower triangle of one diagonal block, sliced rather than built per band.
+_BAND = 64
+_STRICT_LOWER = np.tri(_BAND, k=-1, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -144,9 +153,12 @@ def fit_krls(x, y, lam: float, spec: KernelSpec) -> KrlsModel:
     The n-scaled shift lam * n comes from the 1/n weighting of the squared
     error in the objective. The Gram is factored in place, so the fit holds
     one n x n matrix; the rare jitter retry builds it again. A min-kernel
-    Gram larger than one row block is held and factored in float32, and
-    the solve refined in float64 against the prefix-sum product; if that
-    fails, the float32 matrix is freed and the fit solves in float64.
+    Gram larger than one row block is factored in float32 from its upper
+    triangle alone, written into a lazily mapped buffer whose lower half is
+    never touched (about 2 n^2 bytes resident), and the solve refined in
+    float64 against the prefix-sum product by triangular solves on the
+    factor; if that fails, the mapping is freed and the fit solves in
+    float64.
     """
     if not lam > 0:
         raise ContractError("lam must be positive")
@@ -169,11 +181,38 @@ def _refined_min_solve(spec: KernelSpec, pts: np.ndarray, shift: float, y: np.nd
     return either way."""
     kernels._check_in_box(pts, spec.domain)
     t = pts[:, 0]
-    # Rounding is monotone, so the min of the rounded points is the rounded
-    # float64 Gram, entry for entry.
-    t32 = t.astype(np.float32)
+    order = np.argsort(t, kind="stable")
+    sorted_t = t[order]
+
+    def apply(v):  # K v, as _min_expansion(t, t, v) with the sort done once
+        return _sorted_min_expansion(t, sorted_t, v[order])
+
     try:
-        return linalg._refined_solve(np.minimum(t32[:, None], t32[None, :]),
-                                     lambda v: _min_expansion(t, t, v), shift, y)
+        return linalg._refined_solve(_upper_min_gram32(t), apply, shift, y)
     except np.linalg.LinAlgError:
         return None
+
+
+def _upper_min_gram32(t: np.ndarray) -> np.ndarray:
+    """The min-kernel Gram of t in float32, C-ordered, with only its upper
+    triangle written; the strict lower one reads 0.
+
+    The n x n buffer is an anonymous mapping advised against huge pages, so
+    the pages of the lower half, never written, are never faulted in. numpy
+    would advise huge pages for a buffer this large and fault in the lower
+    half 2 MB at a time along with the upper one. Rounding is monotone, so
+    the min of the rounded points is the rounded float64 Gram, entry for
+    entry.
+    """
+    n = t.shape[0]
+    t32 = t.astype(np.float32)
+    buffer = mmap.mmap(-1, 4 * n * n)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux only
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    k32 = np.frombuffer(buffer, dtype=np.float32).reshape(n, n)
+    for i in range(0, n, _BAND):
+        j = min(i + _BAND, n)
+        np.minimum(t32[i:j, None], t32[None, j:], out=k32[i:j, j:])
+        np.minimum(t32[i:j, None], t32[None, i:j], out=k32[i:j, i:j],
+                   where=~_STRICT_LOWER[: j - i, : j - i])
+    return k32

@@ -75,12 +75,12 @@ def _mirror_upper(b: np.ndarray):
     itself through a triangular mask. No temporary is larger than one band
     of b.
     """
-    l, band = b.shape[0], 64
-    for i in range(0, l, band):
-        j = min(i + band, l)
+    l = b.shape[0]
+    for i in range(0, l, krls._BAND):
+        j = min(i + krls._BAND, l)
         b[j:, i:j] = b[i:j, j:].T
         diag = b[i:j, i:j]
-        np.copyto(diag, diag.T, where=np.tri(j - i, k=-1, dtype=bool))
+        np.copyto(diag, diag.T, where=krls._STRICT_LOWER[: j - i, : j - i])
 
 
 def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromModel:
@@ -163,9 +163,12 @@ def _min_nystrom_solve(t: np.ndarray, y: np.ndarray, z: np.ndarray, shift: float
 
         S2(z_a) + z_a (S1(z_c) - S1(z_a) + z_c (n - N(z_c))) + shift * z_a,
 
-    since sum_i min(t_i, z_a) min(t_i, z_c) splits at z_a and z_c, and b is
-    mirrored from that triangle. rhs is ``krls._sorted_min_expansion`` with
-    inputs and landmarks swapped, on the same sort. After the O(n log n)
+    since sum_i min(t_i, z_a) min(t_i, z_c) splits at z_a and z_c. That is
+    z_a u_c + v_a, with u_c = S1(z_c) + z_c (n - N(z_c)) and v_a =
+    S2(z_a) - z_a S1(z_a) + shift * z_a, so b takes two passes, an outer
+    product and a broadcast add, and is mirrored from that triangle. rhs is
+    ``krls._sorted_min_expansion`` with inputs and landmarks swapped, on the
+    same sort. After the O(n log n)
     sort, b costs O(l^2): the Cholesky attempt consumes it, so the
     pseudo-inverse fallback builds it again rather than the fit holding a
     copy.
@@ -179,14 +182,12 @@ def _min_nystrom_solve(t: np.ndarray, y: np.ndarray, z: np.ndarray, shift: float
     k = np.searchsorted(t, z, side="right")
     s1 = np.concatenate(([0.0], np.cumsum(t)))[k]
     s2 = np.concatenate(([0.0], np.cumsum(t * t)))[k]
-    col = z * (n - k)
-    row = s2 + shift * z
+    u = s1 + z * (n - k)
+    v = s2 - z * s1 + shift * z
 
     def normal_matrix():
-        b = s1 - s1[:, None]  # S1(z_c) - S1(z_a), C-ordered
-        b += col
-        b *= z[:, None]
-        b += row[:, None]
+        b = np.multiply.outer(z, u)  # C-ordered
+        b += v[:, None]
         _mirror_upper(b)
         return b
 

@@ -1,10 +1,16 @@
 """Global KRLS: dual solve, prediction, and the regularization contracts."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from krlslab import (
     ContractError,
@@ -33,6 +39,8 @@ from krlslab import (
     linalg,
     polynomial,
 )
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_single_point_system():
@@ -351,13 +359,27 @@ def test_refined_fit_checks_the_domain_first(outside, monkeypatch):
     assert failures == []
 
 
-def test_refined_fit_holds_one_float32_gram(monkeypatch):
-    # above one row block, a min-kernel fit holds its Gram in float32 alone
+_NEEDS_PROC = pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                                 reason="reads /proc/self")
+
+
+@_NEEDS_PROC
+def test_refined_fit_writes_only_the_upper_float32_triangle(monkeypatch):
+    # above one row block, a min-kernel fit writes the upper triangle of one
+    # float32 Gram into a mapping, which tracemalloc does not see
     n = 2048
     rng = np.random.default_rng(16)
     x = rng.uniform(0, 1, n)
     y = rng.standard_normal(n)
     failures = _refined_failures(monkeypatch)
+    buffers = []
+    recording = linalg._refined_solve
+
+    def keeping(k32, *args):
+        buffers.append(k32)
+        return recording(k32, *args)
+
+    monkeypatch.setattr(linalg, "_refined_solve", keeping)
     tracemalloc.start()
     try:
         fit_krls(x, y, 1e-3, brownian())
@@ -365,7 +387,93 @@ def test_refined_fit_holds_one_float32_gram(monkeypatch):
     finally:
         tracemalloc.stop()
     assert failures == [None]
-    assert peak < 1.5 * 4 * n * n
+    (k32,) = buffers
+    assert k32.shape == (n, n) and k32.dtype == np.float32 and k32.flags.c_contiguous
+    assert not np.tril(k32, -1).any()
+    # numpy built no n x n temporary, float32 or otherwise
+    assert peak < n * n * 4 / 4
+    # the lower half is never faulted in: at n = 4096 the fit's resident
+    # growth stays well below the 64 MB of the whole float32 Gram. A first
+    # refined fit at n = 1100 loads the BLAS buffers, which are not the fit's.
+    # The child reads its peak from VmHWM: ru_maxrss would start from this
+    # process's peak, which Linux carries across exec.
+    script = textwrap.dedent("""
+        import numpy as np
+        from krlslab import brownian, fit_krls
+
+        def peak_kb():
+            with open("/proc/self/status", encoding="ascii") as status:
+                return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+        rng = np.random.default_rng(16)
+        fit_krls(rng.uniform(0, 1, 1100), rng.standard_normal(1100), 1e-3, brownian())
+        x, y = rng.uniform(0, 1, 4096), rng.standard_normal(4096)
+        before = peak_kb()
+        fit_krls(x, y, 1e-3, brownian())
+        print(peak_kb() - before)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    growth_kb = int(done.stdout.split()[-1])
+    assert growth_kb * 1024 < 0.75 * 4 * 4096**2
+
+
+def _is_mapped(address: int) -> bool:
+    with open("/proc/self/maps", encoding="ascii") as maps:
+        for line in maps:
+            start, end = (int(a, 16) for a in line.split()[0].split("-"))
+            if start <= address < end:
+                return True
+    return False
+
+
+@_NEEDS_PROC
+@pytest.mark.parametrize("lam", [1e-12, 1e-9], ids=["spotrf-fails", "refinement-stalls"])
+def test_refined_fit_unmaps_the_float32_gram_before_the_fallback(lam, monkeypatch):
+    # the float64 fallback builds its Gram only once the float32 mapping is
+    # gone, so a fit never holds both
+    n = 2048
+    rng = np.random.default_rng(19)
+    x = rng.uniform(0.9, 1.0, n)
+    y = np.sin(6 * x)
+    failures = _refined_failures(monkeypatch)
+    addresses, mapped = [], []
+    recording, real_gram = linalg._refined_solve, kernels.gram
+
+    def addressing(k32, *args):
+        addresses.append(k32.__array_interface__["data"][0])
+        assert _is_mapped(addresses[-1])
+        return recording(k32, *args)
+
+    def checking_gram(spec, pts):
+        mapped.append(_is_mapped(addresses[-1]))
+        return real_gram(spec, pts)
+
+    monkeypatch.setattr(linalg, "_refined_solve", addressing)
+    monkeypatch.setattr(kernels, "gram", checking_gram)
+    fit_krls(x, y, lam, brownian())
+    assert len(failures) == 1 and failures[0] is not None
+    assert mapped == [False]
+
+
+def test_refined_fit_corrects_without_spotrs(monkeypatch):
+    # each correction is two strsv on the float32 factor
+    def refused(*args, **kwargs):
+        raise AssertionError("spotrs called")
+
+    monkeypatch.setattr(lapack, "spotrs", refused)
+    n = 2048
+    rng = np.random.default_rng(20)
+    x = rng.uniform(0, 1, n)
+    y = np.sin(6 * x) + rng.standard_normal(n)
+    lam = n ** -0.4
+    failures = _refined_failures(monkeypatch)
+    model = fit_krls(x, y, lam, brownian())
+    assert failures == [None]
+    expected = _float64_alpha(brownian(), x, y, lam)
+    assert np.linalg.norm(model.alpha - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize(

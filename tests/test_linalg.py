@@ -237,6 +237,23 @@ def test_refined_solve_factors_float32_in_place_and_refines_in_float64():
         linalg._refined_solve(a.astype(np.float32), lambda v: 2 * a @ v, 0.5, b)
 
 
+def test_refined_solve_reads_and_writes_only_the_upper_triangle():
+    # the strict lower triangle of the C-ordered buffer is neither read nor
+    # written: NaN there changes nothing and stays NaN
+    rng = np.random.default_rng(11)
+    n = 300
+    t = rng.uniform(0, 1, n)
+    a = np.minimum.outer(t, t)
+    b = rng.standard_normal(n)
+    lower = np.tri(n, k=-1, dtype=bool)
+    a32 = a.astype(np.float32)
+    a32[lower] = np.nan
+    x = linalg._refined_solve(a32, lambda v: a @ v, 0.5, b)
+    expected = linalg._refined_solve(a.astype(np.float32), lambda v: a @ v, 0.5, b)
+    np.testing.assert_array_equal(x, expected)
+    assert np.isnan(a32[lower]).all()
+
+
 def test_pinv_checks_rhs_before_eigh(monkeypatch):
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh ran before the right-hand side check")
