@@ -11,16 +11,17 @@ product to rounding but is not bitwise equal to it. Every other family
 forms the N x n cross-Gram in row blocks and multiplies it by alpha, in
 O(N n) time and one block of memory.
 
-A fit holds one n x n Gram and factors it in place. A min-kernel Gram
-larger than one row block (n > 1024) is held in float32 and factored by
-spotrf, which reads one triangle: only that triangle is written, into an
-anonymous mapping without huge pages, so the untouched half is never
-faulted in and the fit keeps about 2 n^2 bytes resident, a quarter of the
-float64 Gram. The solve is refined in float64 against ``_min_expansion``,
-by two triangular solves on the factor per step, until it matches the
-float64 solve to rounding. If the float32 factorization fails or the
-refinement stalls, the mapping is freed and the fit solves in float64 as
-every other fit does.
+A fit holds one n x n Gram and factors it in place. A min-kernel fit of
+at least ``_FLOAT32_MIN_N`` points holds its Gram in float32 and factors
+it by spotrf, which reads one triangle. Up to one row block (n <= 1024)
+that Gram is one numpy array; above it only the upper triangle is written,
+into an anonymous mapping without huge pages, so the untouched half is
+never faulted in and the fit keeps about 2 n^2 bytes resident, a quarter
+of the float64 Gram. The solve is refined in float64 against
+``_min_expansion``, by two triangular solves on the factor per step, until
+it matches the float64 solve to rounding. If the float32 factorization
+fails or the refinement stalls, the float32 Gram is freed and the fit
+solves in float64 as every other fit does.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ _BLOCK_ENTRIES = 2**20
 # lower triangle of one diagonal block, sliced rather than built per band.
 _BAND = 64
 _STRICT_LOWER = np.tri(_BAND, k=-1, dtype=bool)
+# Fewest points of a min-kernel fit factored in float32 and refined. On a
+# 2-core VM (OpenBLAS 0.3.31), in 400 alternating calls on [0.9, 1] data,
+# float32 was faster than the float64 solve in 154 at n = 128, 313 at 144
+# and 391 at 160; it lost all 200 at n = 97. Smaller fits stay bitwise
+# those of the float64 solve.
+_FLOAT32_MIN_N = 144
 
 
 @dataclass(frozen=True)
@@ -153,22 +160,22 @@ def fit_krls(x, y, lam: float, spec: KernelSpec) -> KrlsModel:
     The n-scaled shift lam * n comes from the 1/n weighting of the squared
     error in the objective. The Gram is factored in place, so the fit holds
     one n x n matrix; the rare jitter retry builds it again. A min-kernel
-    Gram larger than one row block is factored in float32 from its upper
-    triangle alone, written into a lazily mapped buffer whose lower half is
-    never touched (about 2 n^2 bytes resident), and the solve refined in
-    float64 against the prefix-sum product by triangular solves on the
-    factor; if that fails, the mapping is freed and the fit solves in
-    float64.
+    fit of at least ``_FLOAT32_MIN_N`` points, where float32 was measured
+    faster, is factored in float32 from the upper triangle of its Gram and
+    the solve refined in float64 against the prefix-sum product by
+    triangular solves on the factor. Above one row block only that triangle
+    is written, into a lazily mapped buffer whose lower half is never
+    touched (about 2 n^2 bytes resident). If the refined solve fails, its
+    buffer is freed and the fit solves in float64; smaller fits solve in
+    float64 from the start.
     """
     if not lam > 0:
         raise ContractError("lam must be positive")
     pts, y = kernels._as_data(x, y, spec.dim)
     shift = lam * y.shape[0]
     alpha = None
-    # Other families have no exact float64 product cheaper than a Gram. At
-    # one block or less float32 saves little (3.4 against 3.7 ms at n = 512
-    # on a 2-core VM), and small fits stay bitwise those of the float64 solve.
-    if spec.family == "brownian" and pts.shape[0] ** 2 > _BLOCK_ENTRIES:
+    # Other families have no exact float64 product cheaper than a Gram.
+    if spec.family == "brownian" and pts.shape[0] >= _FLOAT32_MIN_N:
         alpha = _refined_min_solve(spec, pts, shift, y)
     if alpha is None:
         alpha = linalg._spd_solve(lambda: kernels.gram(spec, pts), shift, y)
@@ -194,18 +201,24 @@ def _refined_min_solve(spec: KernelSpec, pts: np.ndarray, shift: float, y: np.nd
 
 
 def _upper_min_gram32(t: np.ndarray) -> np.ndarray:
-    """The min-kernel Gram of t in float32, C-ordered, with only its upper
-    triangle written; the strict lower one reads 0.
+    """The min-kernel Gram of t in float32, C-ordered, with at least its
+    upper triangle written. Rounding is monotone, so the min of the rounded
+    points is the rounded float64 Gram, entry for entry.
 
-    The n x n buffer is an anonymous mapping advised against huge pages, so
-    the pages of the lower half, never written, are never faulted in. numpy
-    would advise huge pages for a buffer this large and fault in the lower
-    half 2 MB at a time along with the upper one. Rounding is monotone, so
-    the min of the rounded points is the rounded float64 Gram, entry for
-    entry.
+    Up to one row block the whole Gram is one np.minimum.outer on the heap.
+    Above it, only the upper triangle is written and the strict lower one
+    reads 0: the n x n buffer is an anonymous mapping advised against huge
+    pages, so the pages of the lower half, never written, are never faulted
+    in. numpy would advise huge pages for a buffer this large and fault in
+    the lower half 2 MB at a time along with the upper one. A small Gram is
+    not mapped, because a fresh mapping's pages are faulted in on every fit
+    (about 0.6 ms per MB on a 2-core VM) where the heap reuses its own: at
+    n = 512 the mapped triangle took 0.76 ms and the heap Gram 0.16 ms.
     """
     n = t.shape[0]
     t32 = t.astype(np.float32)
+    if n * n <= _BLOCK_ENTRIES:
+        return np.minimum.outer(t32, t32)
     buffer = mmap.mmap(-1, 4 * n * n)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux only
         buffer.madvise(mmap.MADV_NOHUGEPAGE)

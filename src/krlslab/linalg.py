@@ -21,17 +21,19 @@ that builds the matrix, so that a dense fit holds one n x n buffer and the
 jitter retry factors a rebuilt Gram. The public ``spd_solve`` factors a
 copy and leaves its argument unchanged.
 
-``_refined_solve`` is the mixed-precision solve of LAPACK's dsposv (Buttari
-et al., IJHPCA 2007) for a matrix the caller holds in float32 and can
-multiply exactly in float64: a min-kernel fit above one row block, whose
-one n x n buffer is then float32 with only its upper triangle written. It
-factors that triangle in place, corrects the solution by two triangular
-solves (strsv) on the factor per step against the float64 product until
-dsposv's stopping rule holds, and accepts it only within the residual
+``_refined_solve`` is the one solve of a brownian system: the mixed-precision
+solve of LAPACK's dsposv (Buttari et al., IJHPCA 2007) for a matrix the
+caller holds as an upper triangle, in float32 or float64, and can multiply
+exactly in float64 in less than a dense product. A min-kernel fit hands it
+a float32 Gram; a min-kernel Nystrom fit the float64 normal equations,
+whose product costs O(l) by prefix sums. It factors that triangle in place
+(spotrf or dpotrf, by the dtype), corrects the solution by two triangular
+solves (strsv or dtrsv) on the factor per step against the float64 product
+until dsposv's stopping rule holds, and accepts it only within the residual
 tolerance of ``spd_solve``; nothing below the diagonal is read or written.
 When the factorization fails or the refinement stalls, it raises and frees
-the factor, and the caller falls back to ``_spd_solve``, so a fit never
-holds more than a float64 solve would.
+the factor, and the caller falls back to a float64 solve of the whole
+matrix, so a fit never holds more than that solve would.
 
 Every LAPACK call of the package is made here.
 """
@@ -165,10 +167,10 @@ def _cholesky_solve(a: np.ndarray, diag: float, b: np.ndarray) -> np.ndarray:
     """One Cholesky solve of (a + diag * I) x = b that consumes a.
 
     a must be a C-ordered, exactly symmetric float matrix the caller gives
-    up: its diagonal is shifted in place and LAPACK writes the factor over
-    its upper triangle. potrf leaves the strict lower triangle holding the
-    matrix, so the residual is taken from that triangle and the saved
-    diagonal.
+    up: its diagonal is shifted in place, LAPACK writes the factor over its
+    upper triangle, and two triangular solves on it give x. potrf leaves
+    the strict lower triangle holding the matrix, so the residual is taken
+    from that triangle and the saved diagonal.
 
     Raises LinAlgError when factorization fails or when the residual is not
     within RESIDUAL_RTOL * |b|, a NaN residual included.
@@ -178,8 +180,8 @@ def _cholesky_solve(a: np.ndarray, diag: float, b: np.ndarray) -> np.ndarray:
     a.flat[:: n + 1] += diag
     # a.T is Fortran-ordered, so LAPACK factors it without a copy; its lower
     # triangle is a's upper one.
-    c = scipy.linalg.cho_factor(a.T, lower=True, overwrite_a=True, check_finite=False)
-    x = scipy.linalg.cho_solve(c, b, check_finite=False)
+    factor, _ = scipy.linalg.cho_factor(a.T, lower=True, overwrite_a=True, check_finite=False)
+    x = _triangular_solve(factor, b)
     # The upper triangle of a.T is a's strict lower one, still K, over the
     # factor's diagonal: symv/symm read it in place, and (d - diagonal) * x
     # swaps the shifted diagonal in. The product runs on the BLAS that
@@ -196,6 +198,23 @@ def _cholesky_solve(a: np.ndarray, diag: float, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _triangular_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = b for the Fortran-ordered lower Cholesky factor L, as
+    L w = b and then L^T x = w, into a new array of L's dtype.
+
+    A vector takes two trsv, in L's precision; a matrix, float64 only, two
+    dtrsm. On a 2-core VM (OpenBLAS 0.3.31), potrs took 213 us against 81
+    for the two dtrsv at n = 512, and 148 ms against 23 for the two strsv at
+    n = 8192.
+    """
+    if b.ndim == 1:
+        trsv = blas.strsv if factor.dtype == np.float32 else blas.dtrsv
+        w = trsv(factor, b.astype(factor.dtype), lower=1, overwrite_x=1)
+        return trsv(factor, w, lower=1, trans=1, overwrite_x=1)
+    w = blas.dtrsm(1.0, factor, b, lower=1)
+    return blas.dtrsm(1.0, factor, w, lower=1, trans_a=1, overwrite_b=1)
+
+
 def _check_residual(residual: np.ndarray, b: np.ndarray):
     """Raise LinAlgError unless |residual| <= RESIDUAL_RTOL * |b|; a NaN
     residual fails."""
@@ -203,43 +222,37 @@ def _check_residual(residual: np.ndarray, b: np.ndarray):
         raise np.linalg.LinAlgError("residual above tolerance")
 
 
-def _refined_solve(k32: np.ndarray, apply: Callable[[np.ndarray], np.ndarray],
+def _refined_solve(k: np.ndarray, apply: Callable[[np.ndarray], np.ndarray],
                    shift: float, b: np.ndarray) -> np.ndarray:
-    """Solve (K + shift * I) x = b to float64 accuracy from a float32 factor.
+    """Solve (K + shift * I) x = b to float64 accuracy from a factor of k.
 
-    k32 is a C-ordered float32 matrix whose upper triangle holds K rounded
-    to float32; nothing below its diagonal is read or written. The solve
-    consumes it: the shift goes onto its diagonal and spotrf writes the
-    factor over the upper triangle in place. apply(v) must return K v in
-    float64 for a float vector v, and K must be entrywise nonnegative, so
-    that |K|_inf = max(apply(1)). Each step solves the float32 system for
-    the float64 residual b - (apply(x) + shift * x) by two strsv on the
-    factor, and adds the correction to x. The solve stops by the rule of
-    LAPACK's dsposv, once
+    k is a C-ordered float32 or float64 matrix whose upper triangle holds K,
+    rounded to k's dtype; nothing below its diagonal is read or written.
+    The solve consumes it: the shift goes onto its diagonal and spotrf or
+    dpotrf, by the dtype, writes the factor over the upper triangle in
+    place. apply(v) must return K v in float64 for a float vector v, and K
+    must be entrywise nonnegative, so that |K|_inf = max(apply(1)). Each
+    step solves the system for the float64 residual b - (apply(x) + shift *
+    x) by two triangular solves (strsv or dtrsv) on the factor, and adds the
+    correction to x. The solve stops by the rule of LAPACK's dsposv, once
     |r|_inf <= |x|_inf * |K + shift * I|_inf * eps * sqrt(n), and returns x
     only if the residual also meets spd_solve's RESIDUAL_RTOL * |b|_2.
 
-    Raises LinAlgError when spotrf fails, when a step does not halve the
-    residual's largest entry, a NaN included, or when REFINE_STEPS
+    Raises LinAlgError when the factorization fails, when a step does not
+    halve the residual's largest entry, a NaN included, or when REFINE_STEPS
     corrections leave it above the stopping bound. The factor lives as long
-    as that exception, so a caller drops it before it solves in float64.
+    as that exception, so a caller drops it before it solves otherwise.
     """
-    n = k32.shape[0]
-    k32.flat[:: n + 1] += np.float32(shift)
-    # k32.T is Fortran-ordered, so spotrf factors it without a copy; its
-    # lower triangle is k32's upper one.
-    factor, info = lapack.spotrf(k32.T, lower=1, clean=0, overwrite_a=1)
+    n = k.shape[0]
+    potrf = "spotrf" if k.dtype == np.float32 else "dpotrf"
+    k.flat[:: n + 1] += k.dtype.type(shift)
+    # k.T is Fortran-ordered, so potrf factors it without a copy; its lower
+    # triangle is k's upper one.
+    factor, info = getattr(lapack, potrf)(k.T, lower=1, clean=0, overwrite_a=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"spotrf failed with info {info}")
-
-    # L L^T z = r as L w = r, then L^T z = w. On a 2-core VM (OpenBLAS
-    # 0.3.31), spotrs took 148 ms per step at n = 8192 and the two strsv 23.
-    def correction(r):
-        w = blas.strsv(factor, r.astype(np.float32), lower=1, overwrite_x=1)
-        return blas.strsv(factor, w, lower=1, trans=1, overwrite_x=1).astype(float)
-
+        raise np.linalg.LinAlgError(f"{potrf} failed with info {info}")
     bound = (apply(np.ones(n)).max() + shift) * np.finfo(float).eps * np.sqrt(n)
-    x = correction(b)
+    x = _triangular_solve(factor, b).astype(float, copy=False)
     last = np.inf
     for step in range(REFINE_STEPS + 1):
         residual = b - apply(x) - shift * x
@@ -249,7 +262,7 @@ def _refined_solve(k32: np.ndarray, apply: Callable[[np.ndarray], np.ndarray],
         if step == REFINE_STEPS or not size <= last / 2:
             raise np.linalg.LinAlgError(f"refinement stalled at residual {size:.3e}")
         last = size
-        x += correction(residual)
+        x += _triangular_solve(factor, residual)
     _check_residual(residual, b)
     return x
 

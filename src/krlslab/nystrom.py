@@ -8,15 +8,18 @@ solve the explicit normal equations
 
 For the min kernel both sides have a closed form in prefix sums over the
 sorted inputs (see ``_min_nystrom_solve``): O(n log n + l^2) time and
-O(n + l^2) memory, with no cross-Gram at all. For other kernels they are
-accumulated in place by scipy's syrk and gemv over row blocks of K_nl of
-the size ``krls._row_blocks`` gives, so the n x l cross-Gram is never
-stored whole: the fit holds one block at a time, and no block adds an
-l x l matrix, for O(n l^2) time.
-They are solved by Cholesky, falling back to an eigenvalue-truncated
-pseudo-inverse when factorization or its residual check fails, so
-rank-deficient landmark sets (duplicate coordinates, l near the numerical
-rank) stay well defined.
+O(n + l^2) memory, with no cross-Gram at all. Only the upper triangle of
+the matrix is written; ``linalg._refined_solve`` factors it by a dense
+O(l^3) Cholesky and checks the solution against an O(l) product from the
+same prefix sums. For other kernels they are accumulated in place by
+scipy's syrk and gemv over row blocks of K_nl of the size
+``krls._row_blocks`` gives, so the n x l cross-Gram is never stored whole:
+the fit holds one block at a time, and no block adds an l x l matrix, for
+O(n l^2) time; the matrix is mirrored and solved by ``linalg``'s Cholesky
+solve. Either solve falls back to an eigenvalue-truncated pseudo-inverse of
+the mirrored matrix when factorization, refinement or the residual check
+fails, so rank-deficient landmark sets (duplicate coordinates, l near the
+numerical rank) stay well defined.
 """
 
 from __future__ import annotations
@@ -96,9 +99,11 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
 
     With l = n and a numerically positive definite Gram this reproduces the
     full KRLS solution, since the search spaces coincide. A min-kernel fit
-    builds its normal equations from prefix sums in O(n log n + l^2) time;
-    they agree with the blocked syrk build to rounding, not bit for bit.
-    Other kernels stream K_nl in row blocks in O(n l^2) time.
+    builds the upper triangle of its normal equations from prefix sums in
+    O(n log n + l^2) time, factors it in O(l^3) and refines the solution
+    against an O(l) product; they agree with the blocked syrk build to
+    rounding, not bit for bit. Other kernels stream K_nl in row blocks in
+    O(n l^2) time.
     """
     if not lam > 0:
         raise ContractError("lam must be positive")
@@ -165,13 +170,14 @@ def _min_nystrom_solve(t: np.ndarray, y: np.ndarray, z: np.ndarray, shift: float
 
     since sum_i min(t_i, z_a) min(t_i, z_c) splits at z_a and z_c. That is
     z_a u_c + v_a, with u_c = S1(z_c) + z_c (n - N(z_c)) and v_a =
-    S2(z_a) - z_a S1(z_a) + shift * z_a, so b takes two passes, an outer
-    product and a broadcast add, and is mirrored from that triangle. rhs is
+    S2(z_a) - z_a S1(z_a) + shift * z_a, so one dger over a broadcast of v
+    writes the upper triangle. The same split gives b x in O(l) for
+    ``linalg._refined_solve``, which factors that triangle in float64 and
+    refines against it, so b is never mirrored. rhs is
     ``krls._sorted_min_expansion`` with inputs and landmarks swapped, on the
-    same sort. After the O(n log n)
-    sort, b costs O(l^2): the Cholesky attempt consumes it, so the
-    pseudo-inverse fallback builds it again rather than the fit holding a
-    copy.
+    same sort. After the O(n log n) sort, b costs O(l^2) and its Cholesky
+    factor O(l^3). The solve consumes b, so the pseudo-inverse fallback
+    builds it again, mirrored, rather than the fit holding a copy.
     """
     n = t.shape[0]
     landmark_order = np.argsort(z, kind="stable")
@@ -184,17 +190,38 @@ def _min_nystrom_solve(t: np.ndarray, y: np.ndarray, z: np.ndarray, shift: float
     s2 = np.concatenate(([0.0], np.cumsum(t * t)))[k]
     u = s1 + z * (n - k)
     v = s2 - z * s1 + shift * z
+    l = z.shape[0]
 
-    def normal_matrix():
-        b = np.multiply.outer(z, u)  # C-ordered
-        b += v[:, None]
-        _mirror_upper(b)
+    def upper():
+        # b[a, c] = v_a, C-ordered; dger adds u z^T to its Fortran-ordered
+        # transpose in place, so z_a u_c + v_a is right on and above the
+        # diagonal
+        b = np.repeat(v, l).reshape(l, l)
+        blas.dger(1.0, u, z, a=b.T, overwrite_a=1)
         return b
 
+    # (b x)_a = z_a sum_{c >= a} u_c x_c + v_a sum_{c >= a} x_c
+    #         + u_a sum_{c < a} z_c x_c + sum_{c < a} v_c x_c
+    terms = np.array((u, np.ones(l), z, v))
+    weights = terms[[2, 3, 0, 1]]
+
+    def apply(x):
+        # the first two rows summed from the right, inclusive; the last two
+        # from the left, exclusive
+        products = terms * x
+        sums = np.empty_like(products)
+        products[:2, ::-1].cumsum(axis=1, out=sums[:2, ::-1])
+        sums[2:, 0] = 0.0
+        products[2:, :-1].cumsum(axis=1, out=sums[2:, 1:])
+        sums *= weights
+        return sums.sum(axis=0)
+
     try:
-        alpha = linalg._cholesky_solve(normal_matrix(), 0.0, rhs)
+        alpha = linalg._refined_solve(upper(), apply, 0.0, rhs)
     except np.linalg.LinAlgError:
-        alpha = linalg.pinv_solve(normal_matrix(), rhs)
+        b = upper()
+        _mirror_upper(b)
+        alpha = linalg.pinv_solve(b, rhs)
     out = np.empty_like(alpha)
     out[landmark_order] = alpha
     return out

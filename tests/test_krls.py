@@ -349,6 +349,61 @@ def test_refined_fit_matches_float64_solve(n, monkeypatch):
     assert np.linalg.norm(residual) <= linalg.RESIDUAL_RTOL * np.linalg.norm(y)
 
 
+@pytest.mark.parametrize("n", [krls._FLOAT32_MIN_N, 512, 1024])
+def test_small_refined_fit_matches_float64_solve(n, monkeypatch):
+    # from the crossover up, a min-kernel fit factors in float32 and refines
+    rng = np.random.default_rng(22)
+    x = rng.uniform(0.9, 1.0, n)
+    y = np.sin(6 * x) + 0.15 * rng.standard_normal(n)
+    lam = n ** -0.4
+    failures = _refined_failures(monkeypatch)
+    model = fit_krls(x, y, lam, brownian())
+    assert failures == [None]
+    expected = _float64_alpha(brownian(), x, y, lam)
+    assert np.linalg.norm(model.alpha - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_fit_below_the_crossover_stays_float64(monkeypatch):
+    n = krls._FLOAT32_MIN_N - 1
+    rng = np.random.default_rng(22)
+    x = rng.uniform(0.9, 1.0, n)
+    y = np.sin(6 * x) + 0.15 * rng.standard_normal(n)
+    lam = n ** -0.4
+    failures = _refined_failures(monkeypatch)
+    model = fit_krls(x, y, lam, brownian())
+    assert failures == []
+    np.testing.assert_array_equal(model.alpha, _float64_alpha(brownian(), x, y, lam))
+
+
+def test_small_refined_fit_holds_one_heap_float32_gram(monkeypatch):
+    # up to one row block the float32 Gram is one numpy array, so
+    # tracemalloc sees it: one 4 n^2 buffer and no float64 Gram
+    n = 1024
+    rng = np.random.default_rng(23)
+    x = rng.uniform(0, 1, n)
+    y = rng.standard_normal(n)
+    failures = _refined_failures(monkeypatch)
+    buffers = []
+    recording = linalg._refined_solve
+
+    def keeping(k32, *args):
+        buffers.append(k32)
+        return recording(k32, *args)
+
+    monkeypatch.setattr(linalg, "_refined_solve", keeping)
+    tracemalloc.start()
+    try:
+        fit_krls(x, y, 1e-3, brownian())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failures == [None]
+    (k32,) = buffers
+    assert k32.shape == (n, n) and k32.dtype == np.float32 and k32.flags.c_contiguous
+    assert k32.base is None  # not a view of an mmap
+    assert 4 * n * n <= peak < 1.5 * 4 * n * n
+
+
 @pytest.mark.parametrize("outside", [1.5, -0.1, np.nan])
 def test_refined_fit_checks_the_domain_first(outside, monkeypatch):
     x = np.random.default_rng(21).uniform(0, 1, 2048)

@@ -186,9 +186,9 @@ def test_cholesky_solve_factors_in_place_and_keeps_lower_triangle():
 @pytest.mark.parametrize("cols", [None, 2], ids=["vector", "matrix"])
 def test_residual_check_catches_wrong_solve(monkeypatch, cols):
     # a finite x off by 1e-6 relative leaves a residual of 1e-6 * |b|
-    real_cho_solve = scipy.linalg.cho_solve
+    real_solve = linalg._triangular_solve
     monkeypatch.setattr(
-        scipy.linalg, "cho_solve", lambda *args, **kwargs: real_cho_solve(*args, **kwargs) * (1 + 1e-6)
+        linalg, "_triangular_solve", lambda *args: real_solve(*args) * (1 + 1e-6)
     )
     rng = np.random.default_rng(8)
     a = _random_spd(rng, 40)
@@ -252,6 +252,41 @@ def test_refined_solve_reads_and_writes_only_the_upper_triangle():
     expected = linalg._refined_solve(a.astype(np.float32), lambda v: a @ v, 0.5, b)
     np.testing.assert_array_equal(x, expected)
     assert np.isnan(a32[lower]).all()
+
+
+@pytest.mark.parametrize("cols", [None, 2], ids=["vector", "matrix"])
+def test_cholesky_solve_uses_triangular_solves(cols, monkeypatch):
+    # two trsv for a vector, two trsm for a matrix, on the factor in place
+    def refused(*args, **kwargs):
+        raise AssertionError("cho_solve called")
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", refused)
+    rng = np.random.default_rng(12)
+    a = _random_spd(rng, 50)
+    b = rng.standard_normal(50 if cols is None else (50, cols))
+    x = spd_solve(a, 0.5, b)
+    expected = np.linalg.solve(a + 0.5 * np.eye(50), b)
+    np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_refined_solve_factors_float64_by_dpotrf():
+    # a float64 triangle is factored by dpotrf and corrected by dtrsv; its
+    # strict lower triangle is neither read nor written
+    rng = np.random.default_rng(13)
+    n = 200
+    t = rng.uniform(0, 1, n)
+    a = np.minimum.outer(t, t)
+    b = rng.standard_normal(n)
+    k = a.copy()
+    k[np.tri(n, k=-1, dtype=bool)] = np.nan
+    x = linalg._refined_solve(k, lambda v: a @ v, 0.5, b)
+    expected = np.linalg.solve(a + 0.5 * np.eye(n), b)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.isnan(k[np.tri(n, k=-1, dtype=bool)]).all()
+    upper = np.triu(k)
+    np.testing.assert_allclose(upper.T @ upper, a + 0.5 * np.eye(n), rtol=0, atol=1e-12)
+    with pytest.raises(np.linalg.LinAlgError, match="dpotrf failed"):
+        linalg._refined_solve(-a, lambda v: -a @ v, 0.0, b)
 
 
 def test_pinv_checks_rhs_before_eigh(monkeypatch):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import blas
 
 from krlslab import (
@@ -279,6 +280,14 @@ def _min_case(name):
     return rng.uniform(0, 1, n), l
 
 
+def _outcome(solve, *args):
+    """What solve(*args) returns, or the message of the LinAlgError it raises."""
+    try:
+        return solve(*args)
+    except np.linalg.LinAlgError as error:
+        return str(error)
+
+
 @pytest.mark.parametrize(
     "case", ["uniform", "duplicates", "endpoints", "one_landmark", "all_landmarks"]
 )
@@ -288,26 +297,45 @@ def test_min_normal_equations_match_blocked_build(case, monkeypatch):
     y = np.sin(6 * x) + np.random.default_rng(24).standard_normal(n)
     spec = brownian()
     systems = []
-    real_solve = linalg._cholesky_solve
+    real_solve = linalg._refined_solve
 
-    def capturing_solve(b, shift, rhs):
-        systems.append((b.copy(), rhs.copy()))
-        return real_solve(b, shift, rhs)
+    def capturing_solve(b, apply, shift, rhs):
+        system = (b.copy(), apply, shift, rhs.copy())
+        outcome = _outcome(real_solve, b, apply, shift, rhs)
+        systems.append(system + (outcome,))
+        if isinstance(outcome, str):
+            raise np.linalg.LinAlgError(outcome)
+        return outcome
 
-    monkeypatch.setattr(linalg, "_cholesky_solve", capturing_solve)
+    monkeypatch.setattr(linalg, "_refined_solve", capturing_solve)
     model = fit_nystrom(x, y, lam, l, seed=4, spec=spec)
-    (b, rhs), = systems
+    (b, apply, shift, rhs, outcome), = systems
     draw = model.landmarks[:, 0]
     if l > 1:
         assert not np.all(np.diff(draw) >= 0)  # the draw is unsorted
-    # the closed form is solved in ascending landmark order
+    # the closed form is solved in ascending landmark order, from the upper
+    # triangle of b alone
     order = np.argsort(draw, kind="stable")
     b_ref, rhs_ref = nystrom._blocked_normal_equations(
         spec, x[:, None], y, model.landmarks[order], n * lam
     )
-    np.testing.assert_array_equal(b, b.T)
-    assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+    assert shift == 0.0
+    assert np.abs(np.triu(b - b_ref)).max() <= 1e-13 * np.abs(b_ref).max()
     assert np.abs(rhs - rhs_ref).max() <= 1e-13 * np.abs(rhs_ref).max()
+    # nothing below the diagonal is read: NaN there changes no bit of alpha,
+    # nor the error that sends a singular system to the pseudo-inverse
+    b_nan = b.copy()
+    b_nan[np.tri(l, k=-1, dtype=bool)] = np.nan
+    again = _outcome(real_solve, b_nan, apply, shift, rhs)
+    if isinstance(outcome, str):
+        assert again == outcome
+    else:
+        np.testing.assert_array_equal(again, outcome)
+        np.testing.assert_array_equal(model.alpha[order], outcome)
+    # the O(l) product is b_ref's
+    v = np.random.default_rng(25).standard_normal(l)
+    gap = np.abs(apply(v) - b_ref @ v).max()
+    assert gap <= 1e-13 * np.abs(b_ref).max() * np.abs(v).max()
     # alpha comes back in draw order: it solves the draw-ordered system
     b_draw, rhs_draw = nystrom._blocked_normal_equations(
         spec, x[:, None], y, model.landmarks, n * lam
@@ -316,13 +344,40 @@ def test_min_normal_equations_match_blocked_build(case, monkeypatch):
     assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs_draw)
 
 
+def test_min_kernel_fit_solves_without_mirror_or_cho(monkeypatch):
+    # distinct landmarks: the upper triangle goes to the refined solve,
+    # which factors it by dpotrf and corrects against the O(l) product
+    calls = []
+
+    def refused(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(name)
+        return call
+
+    rng = np.random.default_rng(26)
+    n, l = 2048, 98
+    x = rng.uniform(0.9, 1.0, n)
+    y = np.sin(6 * x) + rng.standard_normal(n)
+    lam = n ** -0.4
+    b, rhs = nystrom._blocked_normal_equations(
+        brownian(), x[:, None], y, x[sample_landmarks(n, l, 6), None], n * lam
+    )
+    monkeypatch.setattr(nystrom, "_mirror_upper", refused("_mirror_upper"))
+    monkeypatch.setattr(scipy.linalg, "cho_factor", refused("cho_factor"))
+    monkeypatch.setattr(scipy.linalg, "cho_solve", refused("cho_solve"))
+    model = fit_nystrom(x, y, lam, l, seed=6, spec=brownian())
+    assert calls == []
+    assert np.linalg.norm(b @ model.alpha - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
 @pytest.mark.parametrize("outside", [1.5, -0.1, np.nan])
 def test_min_kernel_fit_checks_the_domain_first(outside, monkeypatch):
     x = np.random.default_rng(22).uniform(0, 1, 256)
     x[100] = outside
     assert 100 not in sample_landmarks(256, 8, seed=5)  # not a landmark
     solves = []
-    for name in ("_cholesky_solve", "pinv_solve"):
+    for name in ("_refined_solve", "pinv_solve"):
         monkeypatch.setattr(linalg, name, lambda *args, name=name: solves.append(name))
     with pytest.raises(DomainError):
         fit_nystrom(x, np.zeros(x.size), 1e-3, 8, seed=5, spec=brownian())
