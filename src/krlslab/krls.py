@@ -17,11 +17,12 @@ it by spotrf, which reads one triangle. Up to one row block (n <= 1024)
 that Gram is one numpy array; above it only the upper triangle is written,
 into an anonymous mapping without huge pages, so the untouched half is
 never faulted in and the fit keeps about 2 n^2 bytes resident, a quarter
-of the float64 Gram. The solve is refined in float64 against
-``_min_expansion``, by two triangular solves on the factor per step, until
-it matches the float64 solve to rounding. If the float32 factorization
-fails or the refinement stalls, the float32 Gram is freed and the fit
-solves in float64 as every other fit does.
+of the float64 Gram. ``linalg._cholesky_solve`` refines that solve in
+float64 against ``_min_expansion``, by two triangular solves on the factor
+per step, until it matches the float64 solve to rounding. If the float32
+factorization fails or the refinement stalls, the float32 Gram is freed and
+the fit solves in float64 through the same function, as every other fit
+does.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def fit_krls(x, y, lam: float, spec: KernelSpec) -> KrlsModel:
     ----------
     x : array of inputs, shape (n,) or (n, d)
     y : array of labels, shape (n,)
-    lam : regularization strength, must be positive
+    lam : regularization strength, positive and finite
     spec : kernel to use
 
     The n-scaled shift lam * n comes from the 1/n weighting of the squared
@@ -169,8 +170,8 @@ def fit_krls(x, y, lam: float, spec: KernelSpec) -> KrlsModel:
     buffer is freed and the fit solves in float64; smaller fits solve in
     float64 from the start.
     """
-    if not lam > 0:
-        raise ContractError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ContractError("lam must be positive and finite")
     pts, y = kernels._as_data(x, y, spec.dim)
     shift = lam * y.shape[0]
     alpha = None
@@ -184,7 +185,7 @@ def fit_krls(x, y, lam: float, spec: KernelSpec) -> KrlsModel:
 
 def _refined_min_solve(spec: KernelSpec, pts: np.ndarray, shift: float, y: np.ndarray):
     """alpha of a min-kernel fit from a float32 Gram refined in float64, or
-    None if ``linalg._refined_solve`` fails; the float32 Gram is freed on
+    None if ``linalg._cholesky_solve`` fails; the float32 Gram is freed on
     return either way."""
     kernels._check_in_box(pts, spec.domain)
     t = pts[:, 0]
@@ -195,7 +196,7 @@ def _refined_min_solve(spec: KernelSpec, pts: np.ndarray, shift: float, y: np.nd
         return _sorted_min_expansion(t, sorted_t, v[order])
 
     try:
-        return linalg._refined_solve(_upper_min_gram32(t), apply, shift, y)
+        return linalg._cholesky_solve(_upper_min_gram32(t), shift, y, apply)
     except np.linalg.LinAlgError:
         return None
 

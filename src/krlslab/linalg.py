@@ -12,28 +12,18 @@ their own OpenBLAS with its own thread pool; a fit or predict that
 alternated between them left one pool's workers spinning on the cores the
 other needed. numpy keeps the elementwise work.
 
-A shifted solve consumes the matrix it factors: the shift goes onto its
-diagonal and the Cholesky factor over its upper triangle, in place, and the
-residual check reads the matrix from the strict lower triangle LAPACK
-leaves untouched. Gram-based fits, symmetric by construction, skip the
-symmetry check through the private ``_spd_solve`` and hand it a function
-that builds the matrix, so that a dense fit holds one n x n buffer and the
-jitter retry factors a rebuilt Gram. The public ``spd_solve`` factors a
-copy and leaves its argument unchanged.
-
-``_refined_solve`` is the one solve of a brownian system: the mixed-precision
-solve of LAPACK's dsposv (Buttari et al., IJHPCA 2007) for a matrix the
-caller holds as an upper triangle, in float32 or float64, and can multiply
-exactly in float64 in less than a dense product. A min-kernel fit hands it
-a float32 Gram; a min-kernel Nystrom fit the float64 normal equations,
-whose product costs O(l) by prefix sums. It factors that triangle in place
-(spotrf or dpotrf, by the dtype), corrects the solution by two triangular
-solves (strsv or dtrsv) on the factor per step against the float64 product
-until dsposv's stopping rule holds, and accepts it only within the residual
-tolerance of ``spd_solve``; nothing below the diagonal is read or written.
-When the factorization fails or the refinement stalls, it raises and frees
-the factor, and the caller falls back to a float64 solve of the whole
-matrix, so a fit never holds more than that solve would.
+``_cholesky_solve`` is the one Cholesky solve. It consumes a C-ordered
+float32 or float64 matrix whose upper triangle holds K, factors it in place
+by spotrf or dpotrf, and accepts x only within RESIDUAL_RTOL * |b| by an
+exact float64 product with K that the caller hands it. Gram-based fits,
+symmetric by construction, skip the symmetry check through the private
+``_spd_solve`` and hand it a function that builds the matrix, so that a
+dense fit holds one n x n buffer and the jitter retry factors a rebuilt
+Gram; the public ``spd_solve`` factors a copy. Brownian fits hand it a
+float32 Gram, or the float64 Nystrom normal equations, with a prefix-sum
+product. Only a float32 factor is refined in float64, as LAPACK's dsposv
+does (Buttari et al., IJHPCA 2007); when that fails, the caller frees it
+and solves in float64, so a fit never holds more than that solve would.
 
 Every LAPACK call of the package is made here.
 """
@@ -53,7 +43,7 @@ SYMMETRY_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-10
 JITTER_SCALE = 1e-12
 PINV_RTOL = 1e-10
-# Most correction steps of a refined solve, as in LAPACK's dsposv.
+# Most correction steps of a float32 Cholesky solve, as in LAPACK's dsposv.
 REFINE_STEPS = 30
 
 
@@ -98,9 +88,13 @@ def _eigh(a: np.ndarray) -> EigenDecomposition:
 
 
 def _rhs(b, n: int) -> np.ndarray:
-    """The right-hand side as a finite float array of n rows."""
+    """The right-hand side as a finite float vector of n entries, or matrix
+    of n rows and at least one column."""
     b = np.asarray(b, dtype=float)
-    if b.ndim == 0 or b.shape[0] != n:
+    if b.ndim not in (1, 2) or b.shape[1:] == (0,):
+        raise ContractError("right-hand side must be a vector or a matrix of at least "
+                            f"one column, got shape {b.shape}")
+    if b.shape[0] != n:
         raise ContractError("right-hand side length does not match matrix")
     if not np.all(np.isfinite(b)):
         raise ContractError("right-hand side must be finite")
@@ -144,18 +138,19 @@ def _spd_solve(build: Callable[[], np.ndarray], shift: float, b) -> np.ndarray:
     for the jitter retry, after the first matrix has been dropped: a dense
     fit never holds two n x n matrices.
     """
-    if shift < 0:
-        raise ContractError("shift must be nonnegative")
+    if not 0 <= shift < np.inf:
+        raise ContractError("shift must be nonnegative and finite")
     a = build()
     b = _rhs(b, a.shape[0])
     jitter = JITTER_SCALE * float(np.trace(a)) / a.shape[0]
     try:
-        return _cholesky_solve(a, shift, b)
+        return _cholesky_solve(a, shift, b, _lower_product(a))
     except np.linalg.LinAlgError:
         pass
     del a  # consumed by the failed attempt; free it before the rebuild
+    a = build()
     try:
-        return _cholesky_solve(build(), shift + jitter, b)
+        return _cholesky_solve(a, shift + jitter, b, _lower_product(a))
     except np.linalg.LinAlgError as error:
         raise IllConditionedError(
             f"shifted solve failed even with diagonal jitter {jitter:.3e}: {error}",
@@ -163,37 +158,76 @@ def _spd_solve(build: Callable[[], np.ndarray], shift: float, b) -> np.ndarray:
         ) from error
 
 
-def _cholesky_solve(a: np.ndarray, diag: float, b: np.ndarray) -> np.ndarray:
-    """One Cholesky solve of (a + diag * I) x = b that consumes a.
+def _lower_product(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> K v for the exactly symmetric matrix K that a holds, valid once
+    ``_cholesky_solve`` has consumed a: potrf leaves a's strict lower
+    triangle holding K, and K's diagonal is saved here."""
+    d = a.diagonal().copy()
 
-    a must be a C-ordered, exactly symmetric float matrix the caller gives
-    up: its diagonal is shifted in place, LAPACK writes the factor over its
-    upper triangle, and two triangular solves on it give x. potrf leaves
-    the strict lower triangle holding the matrix, so the residual is taken
-    from that triangle and the saved diagonal.
+    def apply(v):
+        # The upper triangle of a.T is a's strict lower one over the
+        # factor's diagonal: symv/symm read it in place, and (d - diagonal)
+        # * v swaps K's diagonal in. The product runs on the BLAS that potrf
+        # just used. With numpy's matmul here and in the Nystrom normal
+        # equations, each fit woke both pools: on a 2-core VM, the
+        # cells_n32768 benchmark's fit_s fell from 3.20 to 1.89 s (medians
+        # of 10 alternating pairs) once all of them ran on scipy's.
+        if v.ndim == 1:
+            product = blas.dsymv(1.0, a.T, v)
+        else:
+            product = blas.dsymm(1.0, a.T, v)
+        product += ((d - a.diagonal()) * v.T).T
+        return product
 
-    Raises LinAlgError when factorization fails or when the residual is not
-    within RESIDUAL_RTOL * |b|, a NaN residual included.
+    return apply
+
+
+def _cholesky_solve(k: np.ndarray, shift: float, b: np.ndarray,
+                    apply: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Solve (K + shift * I) x = b from a Cholesky factor of k, consuming k.
+
+    k is a C-ordered float32 or float64 matrix whose upper triangle holds K,
+    rounded to k's dtype; nothing below its diagonal is read or written.
+    The shift goes onto its diagonal and spotrf or dpotrf, by the dtype,
+    writes the factor over the upper triangle in place; two triangular
+    solves on it (``_triangular_solve``) give x. apply(v) must return K v in
+    float64, and x is returned only if the residual b - apply(x) - shift * x
+    is within RESIDUAL_RTOL * |b|_2.
+
+    A float32 factor is refined as in LAPACK's dsposv, for a vector b and an
+    entrywise nonnegative K, so that |K|_inf = max(apply(1)). Each step
+    solves the system for the float64 residual on the factor and adds the
+    correction to x, until |r|_inf <= |x|_inf * |K + shift * I|_inf * eps *
+    sqrt(n). A float64 factor is not refined: apply runs once.
+
+    Raises LinAlgError when the factorization fails, when the residual is
+    above tolerance, a NaN included, or, for float32, when a step does not
+    halve the residual's largest entry or REFINE_STEPS corrections leave it
+    above the stopping bound. The factor lives as long as that exception,
+    so a caller drops it before it solves otherwise.
     """
-    n = a.shape[0]
-    d = a.diagonal() + diag
-    a.flat[:: n + 1] += diag
-    # a.T is Fortran-ordered, so LAPACK factors it without a copy; its lower
-    # triangle is a's upper one.
-    factor, _ = scipy.linalg.cho_factor(a.T, lower=True, overwrite_a=True, check_finite=False)
-    x = _triangular_solve(factor, b)
-    # The upper triangle of a.T is a's strict lower one, still K, over the
-    # factor's diagonal: symv/symm read it in place, and (d - diagonal) * x
-    # swaps the shifted diagonal in. The product runs on the BLAS that
-    # cho_factor just used. With numpy's matmul here and in the Nystrom
-    # normal equations, each fit woke both pools: on a 2-core VM, the
-    # cells_n32768 benchmark's fit_s fell from 3.20 to 1.89 s (medians of
-    # 10 alternating pairs) once all of them ran on scipy's.
-    if x.ndim == 1:
-        residual = blas.dsymv(1.0, a.T, x, beta=-1.0, y=b)
-    else:
-        residual = blas.dsymm(1.0, a.T, x, beta=-1.0, c=b)
-    residual += ((d - a.diagonal()) * x.T).T
+    n = k.shape[0]
+    potrf = "spotrf" if k.dtype == np.float32 else "dpotrf"
+    k.flat[:: n + 1] += k.dtype.type(shift)
+    # k.T is Fortran-ordered, so potrf factors it without a copy; its lower
+    # triangle is k's upper one.
+    factor, info = getattr(lapack, potrf)(k.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{potrf} failed with info {info}")
+    x = _triangular_solve(factor, b).astype(float, copy=False)
+    residual = b - apply(x) - shift * x
+    if k.dtype == np.float32:
+        bound = (apply(np.ones(n)).max() + shift) * np.finfo(float).eps * np.sqrt(n)
+        last = np.inf
+        for step in range(REFINE_STEPS + 1):
+            size = np.abs(residual).max()
+            if size <= np.abs(x).max() * bound:
+                break
+            if step == REFINE_STEPS or not size <= last / 2:
+                raise np.linalg.LinAlgError(f"refinement stalled at residual {size:.3e}")
+            last = size
+            x += _triangular_solve(factor, residual)
+            residual = b - apply(x) - shift * x
     _check_residual(residual, b)
     return x
 
@@ -220,51 +254,6 @@ def _check_residual(residual: np.ndarray, b: np.ndarray):
     residual fails."""
     if not _norm(residual) <= RESIDUAL_RTOL * max(_norm(b), np.finfo(float).tiny):
         raise np.linalg.LinAlgError("residual above tolerance")
-
-
-def _refined_solve(k: np.ndarray, apply: Callable[[np.ndarray], np.ndarray],
-                   shift: float, b: np.ndarray) -> np.ndarray:
-    """Solve (K + shift * I) x = b to float64 accuracy from a factor of k.
-
-    k is a C-ordered float32 or float64 matrix whose upper triangle holds K,
-    rounded to k's dtype; nothing below its diagonal is read or written.
-    The solve consumes it: the shift goes onto its diagonal and spotrf or
-    dpotrf, by the dtype, writes the factor over the upper triangle in
-    place. apply(v) must return K v in float64 for a float vector v, and K
-    must be entrywise nonnegative, so that |K|_inf = max(apply(1)). Each
-    step solves the system for the float64 residual b - (apply(x) + shift *
-    x) by two triangular solves (strsv or dtrsv) on the factor, and adds the
-    correction to x. The solve stops by the rule of LAPACK's dsposv, once
-    |r|_inf <= |x|_inf * |K + shift * I|_inf * eps * sqrt(n), and returns x
-    only if the residual also meets spd_solve's RESIDUAL_RTOL * |b|_2.
-
-    Raises LinAlgError when the factorization fails, when a step does not
-    halve the residual's largest entry, a NaN included, or when REFINE_STEPS
-    corrections leave it above the stopping bound. The factor lives as long
-    as that exception, so a caller drops it before it solves otherwise.
-    """
-    n = k.shape[0]
-    potrf = "spotrf" if k.dtype == np.float32 else "dpotrf"
-    k.flat[:: n + 1] += k.dtype.type(shift)
-    # k.T is Fortran-ordered, so potrf factors it without a copy; its lower
-    # triangle is k's upper one.
-    factor, info = getattr(lapack, potrf)(k.T, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{potrf} failed with info {info}")
-    bound = (apply(np.ones(n)).max() + shift) * np.finfo(float).eps * np.sqrt(n)
-    x = _triangular_solve(factor, b).astype(float, copy=False)
-    last = np.inf
-    for step in range(REFINE_STEPS + 1):
-        residual = b - apply(x) - shift * x
-        size = np.abs(residual).max()
-        if size <= np.abs(x).max() * bound:
-            break
-        if step == REFINE_STEPS or not size <= last / 2:
-            raise np.linalg.LinAlgError(f"refinement stalled at residual {size:.3e}")
-        last = size
-        x += _triangular_solve(factor, residual)
-    _check_residual(residual, b)
-    return x
 
 
 def pinv_solve(a: np.ndarray, b: np.ndarray, rel_tol: float = PINV_RTOL) -> np.ndarray:

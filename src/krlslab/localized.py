@@ -133,8 +133,8 @@ def _fit_cells(x, y, part: Partition, lam: float, specs, fit_cell) -> LocalizedM
     propagates with its message prefixed by ``cell j:``; ``lam`` is checked
     first, before the split.
     """
-    if not lam > 0:
-        raise ContractError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ContractError("lam must be positive and finite")
     stats, cells = partition_mod.split_dataset(part, x, y)
     spec_list = _spec_list(specs, part.m)
     local = []

@@ -9,17 +9,17 @@ solve the explicit normal equations
 For the min kernel both sides have a closed form in prefix sums over the
 sorted inputs (see ``_min_nystrom_solve``): O(n log n + l^2) time and
 O(n + l^2) memory, with no cross-Gram at all. Only the upper triangle of
-the matrix is written; ``linalg._refined_solve`` factors it by a dense
+the matrix is written; ``linalg._cholesky_solve`` factors it by a dense
 O(l^3) Cholesky and checks the solution against an O(l) product from the
 same prefix sums. For other kernels they are accumulated in place by
 scipy's syrk and gemv over row blocks of K_nl of the size
 ``krls._row_blocks`` gives, so the n x l cross-Gram is never stored whole:
 the fit holds one block at a time, and no block adds an l x l matrix, for
-O(n l^2) time; the matrix is mirrored and solved by ``linalg``'s Cholesky
-solve. Either solve falls back to an eigenvalue-truncated pseudo-inverse of
-the mirrored matrix when factorization, refinement or the residual check
-fails, so rank-deficient landmark sets (duplicate coordinates, l near the
-numerical rank) stay well defined.
+O(n l^2) time; the matrix is mirrored, and the same solve factors a copy
+and checks the solution by a symv on the matrix itself. Either system
+falls back to an eigenvalue-truncated pseudo-inverse of the mirrored matrix
+when factorization or the residual check fails, so rank-deficient landmark
+sets (duplicate coordinates, l near the numerical rank) stay well defined.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
     Parameters
     ----------
     x, y : training data
-    lam : regularization strength, positive
+    lam : regularization strength, positive and finite
     l : number of landmarks, 1 <= l <= n
     seed : RNG seed for the landmark draw, recorded on the model
     spec : kernel
@@ -100,13 +100,13 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
     With l = n and a numerically positive definite Gram this reproduces the
     full KRLS solution, since the search spaces coincide. A min-kernel fit
     builds the upper triangle of its normal equations from prefix sums in
-    O(n log n + l^2) time, factors it in O(l^3) and refines the solution
+    O(n log n + l^2) time, factors it in O(l^3) and checks the solution
     against an O(l) product; they agree with the blocked syrk build to
     rounding, not bit for bit. Other kernels stream K_nl in row blocks in
     O(n l^2) time.
     """
-    if not lam > 0:
-        raise ContractError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ContractError("lam must be positive and finite")
     pts, y = kernels._as_data(x, y, spec.dim)
     n = pts.shape[0]
     idx = sample_landmarks(n, l, seed)
@@ -118,7 +118,7 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
         b, rhs = _blocked_normal_equations(spec, pts, y, landmarks, n * lam)
         try:
             # on a copy: the attempt consumes its matrix, and the fallback needs b
-            alpha = linalg._cholesky_solve(b.copy(), 0.0, rhs)
+            alpha = linalg._cholesky_solve(b.copy(), 0.0, rhs, lambda v: blas.dsymv(1.0, b.T, v))
         except np.linalg.LinAlgError:
             alpha = linalg.pinv_solve(b, rhs)
     return NystromModel(
@@ -172,8 +172,8 @@ def _min_nystrom_solve(t: np.ndarray, y: np.ndarray, z: np.ndarray, shift: float
     z_a u_c + v_a, with u_c = S1(z_c) + z_c (n - N(z_c)) and v_a =
     S2(z_a) - z_a S1(z_a) + shift * z_a, so one dger over a broadcast of v
     writes the upper triangle. The same split gives b x in O(l) for
-    ``linalg._refined_solve``, which factors that triangle in float64 and
-    refines against it, so b is never mirrored. rhs is
+    ``linalg._cholesky_solve``, which factors that triangle in float64 and
+    checks the residual against it, so b is never mirrored. rhs is
     ``krls._sorted_min_expansion`` with inputs and landmarks swapped, on the
     same sort. After the O(n log n) sort, b costs O(l^2) and its Cholesky
     factor O(l^3). The solve consumes b, so the pseudo-inverse fallback
@@ -217,7 +217,7 @@ def _min_nystrom_solve(t: np.ndarray, y: np.ndarray, z: np.ndarray, shift: float
         return sums.sum(axis=0)
 
     try:
-        alpha = linalg._refined_solve(upper(), apply, 0.0, rhs)
+        alpha = linalg._cholesky_solve(upper(), 0.0, rhs, apply)
     except np.linalg.LinAlgError:
         b = upper()
         _mirror_upper(b)

@@ -175,6 +175,8 @@ def test_contract_errors():
         fit_krls([0.1], [1.0], 0.0, brownian())
     with pytest.raises(ContractError):
         fit_krls([0.1], [1.0], -1.0, brownian())
+    with pytest.raises(ContractError, match="finite"):
+        fit_krls([0.1], [1.0], np.inf, brownian())
     with pytest.raises(EmptyInputError):
         fit_krls([], [], 1e-2, brownian())
 
@@ -293,21 +295,23 @@ def test_jitter_retry_rescues_only_labels_in_range(spec, copies, labels, fails, 
 
 
 def _refined_failures(monkeypatch):
-    """Record the error of every refined solve fit_krls attempts; None for
-    a refined solve that returned."""
+    """Record the error of every float32 solve fit_krls attempts; None for
+    a float32 solve that returned. The float64 solves pass unrecorded."""
     failures = []
-    real = linalg._refined_solve
+    real = linalg._cholesky_solve
 
-    def recording(*args):
+    def recording(k, *args):
+        if k.dtype != np.float32:
+            return real(k, *args)
         try:
-            alpha = real(*args)
+            alpha = real(k, *args)
         except np.linalg.LinAlgError as error:
             failures.append(str(error))
             raise
         failures.append(None)
         return alpha
 
-    monkeypatch.setattr(linalg, "_refined_solve", recording)
+    monkeypatch.setattr(linalg, "_cholesky_solve", recording)
     return failures
 
 
@@ -384,13 +388,13 @@ def test_small_refined_fit_holds_one_heap_float32_gram(monkeypatch):
     y = rng.standard_normal(n)
     failures = _refined_failures(monkeypatch)
     buffers = []
-    recording = linalg._refined_solve
+    recording = linalg._cholesky_solve
 
     def keeping(k32, *args):
         buffers.append(k32)
         return recording(k32, *args)
 
-    monkeypatch.setattr(linalg, "_refined_solve", keeping)
+    monkeypatch.setattr(linalg, "_cholesky_solve", keeping)
     tracemalloc.start()
     try:
         fit_krls(x, y, 1e-3, brownian())
@@ -428,13 +432,13 @@ def test_refined_fit_writes_only_the_upper_float32_triangle(monkeypatch):
     y = rng.standard_normal(n)
     failures = _refined_failures(monkeypatch)
     buffers = []
-    recording = linalg._refined_solve
+    recording = linalg._cholesky_solve
 
     def keeping(k32, *args):
         buffers.append(k32)
         return recording(k32, *args)
 
-    monkeypatch.setattr(linalg, "_refined_solve", keeping)
+    monkeypatch.setattr(linalg, "_cholesky_solve", keeping)
     tracemalloc.start()
     try:
         fit_krls(x, y, 1e-3, brownian())
@@ -495,18 +499,19 @@ def test_refined_fit_unmaps_the_float32_gram_before_the_fallback(lam, monkeypatc
     y = np.sin(6 * x)
     failures = _refined_failures(monkeypatch)
     addresses, mapped = [], []
-    recording, real_gram = linalg._refined_solve, kernels.gram
+    recording, real_gram = linalg._cholesky_solve, kernels.gram
 
-    def addressing(k32, *args):
-        addresses.append(k32.__array_interface__["data"][0])
-        assert _is_mapped(addresses[-1])
-        return recording(k32, *args)
+    def addressing(k, *args):
+        if k.dtype == np.float32:
+            addresses.append(k.__array_interface__["data"][0])
+            assert _is_mapped(addresses[-1])
+        return recording(k, *args)
 
     def checking_gram(spec, pts):
         mapped.append(_is_mapped(addresses[-1]))
         return real_gram(spec, pts)
 
-    monkeypatch.setattr(linalg, "_refined_solve", addressing)
+    monkeypatch.setattr(linalg, "_cholesky_solve", addressing)
     monkeypatch.setattr(kernels, "gram", checking_gram)
     fit_krls(x, y, lam, brownian())
     assert len(failures) == 1 and failures[0] is not None

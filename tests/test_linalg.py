@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import blas
 
 from krlslab import (
     ContractError,
@@ -118,8 +119,9 @@ def test_spd_solve_indefinite_raises_with_jitter():
 
 
 def test_spd_solve_rejects_negative_shift_and_asymmetry():
-    with pytest.raises(ContractError):
-        spd_solve(np.eye(2), -1.0, np.ones(2))
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ContractError, match="shift"):
+            spd_solve(np.eye(2), bad, np.ones(2))
     with pytest.raises(ContractError):
         spd_solve(np.array([[1.0, 0.2], [0.1, 1.0]]), 1.0, np.ones(2))
 
@@ -144,8 +146,9 @@ def test_non_finite_matrix_rejected(solver, bad):
 
 def test_cholesky_attempt_fails_on_nan_residual():
     # the factorization succeeds, but inf - inf makes the residual NaN
+    a = np.eye(3)
     with pytest.raises(np.linalg.LinAlgError):
-        linalg._cholesky_solve(np.eye(3), 0.0, np.array([1.0, np.inf, 0.0]))
+        linalg._cholesky_solve(a, 0.0, np.array([1.0, np.inf, 0.0]), linalg._lower_product(a))
 
 
 def test_spd_solve_leaves_matrix_unchanged():
@@ -174,7 +177,7 @@ def test_cholesky_solve_factors_in_place_and_keeps_lower_triangle():
     a = _random_spd(rng, n)
     kept = a.copy()
     b = rng.standard_normal((n, 2))
-    x = linalg._cholesky_solve(a, 0.5, b)
+    x = linalg._cholesky_solve(a, 0.5, b, linalg._lower_product(a))
     shifted = kept + 0.5 * np.eye(n)
     np.testing.assert_allclose(shifted @ x, b, atol=1e-10)
     # the factor overwrote the upper triangle; the residual read the lower one
@@ -193,8 +196,9 @@ def test_residual_check_catches_wrong_solve(monkeypatch, cols):
     rng = np.random.default_rng(8)
     a = _random_spd(rng, 40)
     b = rng.standard_normal(40 if cols is None else (40, cols))
+    k = a.copy()
     with pytest.raises(np.linalg.LinAlgError, match="residual"):
-        linalg._cholesky_solve(a.copy(), 0.5, b)
+        linalg._cholesky_solve(k, 0.5, b, linalg._lower_product(k))
     with pytest.raises(IllConditionedError):
         spd_solve(a, 0.5, b)
 
@@ -209,7 +213,7 @@ def test_cholesky_solve_copies_no_matrix(cols):
     b = rng.standard_normal(n if cols is None else (n, cols))
     tracemalloc.start()
     try:
-        linalg._cholesky_solve(a, 0.5, b)
+        linalg._cholesky_solve(a, 0.5, b, linalg._lower_product(a))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -225,7 +229,7 @@ def test_refined_solve_factors_float32_in_place_and_refines_in_float64():
     a32 = a.astype(np.float32)
     b = rng.standard_normal(n)
     shifted = a + 0.5 * np.eye(n)
-    x = linalg._refined_solve(a32, lambda v: a @ v, 0.5, b)
+    x = linalg._cholesky_solve(a32, 0.5, b, lambda v: a @ v)
     expected = np.linalg.solve(shifted, b)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
     # spotrf wrote the factor over the upper triangle of the one buffer
@@ -234,7 +238,7 @@ def test_refined_solve_factors_float32_in_place_and_refines_in_float64():
     # refined against the wrong product, the float32 factor cannot halve
     # the residual in a step
     with pytest.raises(np.linalg.LinAlgError, match="refinement stalled"):
-        linalg._refined_solve(a.astype(np.float32), lambda v: 2 * a @ v, 0.5, b)
+        linalg._cholesky_solve(a.astype(np.float32), 0.5, b, lambda v: 2 * a @ v)
 
 
 def test_refined_solve_reads_and_writes_only_the_upper_triangle():
@@ -248,8 +252,8 @@ def test_refined_solve_reads_and_writes_only_the_upper_triangle():
     lower = np.tri(n, k=-1, dtype=bool)
     a32 = a.astype(np.float32)
     a32[lower] = np.nan
-    x = linalg._refined_solve(a32, lambda v: a @ v, 0.5, b)
-    expected = linalg._refined_solve(a.astype(np.float32), lambda v: a @ v, 0.5, b)
+    x = linalg._cholesky_solve(a32, 0.5, b, lambda v: a @ v)
+    expected = linalg._cholesky_solve(a.astype(np.float32), 0.5, b, lambda v: a @ v)
     np.testing.assert_array_equal(x, expected)
     assert np.isnan(a32[lower]).all()
 
@@ -270,7 +274,7 @@ def test_cholesky_solve_uses_triangular_solves(cols, monkeypatch):
 
 
 def test_refined_solve_factors_float64_by_dpotrf():
-    # a float64 triangle is factored by dpotrf and corrected by dtrsv; its
+    # a float64 triangle is factored by dpotrf and solved by dtrsv; its
     # strict lower triangle is neither read nor written
     rng = np.random.default_rng(13)
     n = 200
@@ -279,14 +283,45 @@ def test_refined_solve_factors_float64_by_dpotrf():
     b = rng.standard_normal(n)
     k = a.copy()
     k[np.tri(n, k=-1, dtype=bool)] = np.nan
-    x = linalg._refined_solve(k, lambda v: a @ v, 0.5, b)
+    x = linalg._cholesky_solve(k, 0.5, b, lambda v: a @ v)
     expected = np.linalg.solve(a + 0.5 * np.eye(n), b)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
     assert np.isnan(k[np.tri(n, k=-1, dtype=bool)]).all()
     upper = np.triu(k)
     np.testing.assert_allclose(upper.T @ upper, a + 0.5 * np.eye(n), rtol=0, atol=1e-12)
     with pytest.raises(np.linalg.LinAlgError, match="dpotrf failed"):
-        linalg._refined_solve(-a, lambda v: -a @ v, 0.0, b)
+        linalg._cholesky_solve(-a, 0.0, b, lambda v: -a @ v)
+
+
+def test_cholesky_solve_refines_only_a_float32_factor(monkeypatch):
+    # a float64 factor takes one pair of triangular solves and one product;
+    # the wrong product that stalls the float32 refinement fails the
+    # float64 residual check
+    rng = np.random.default_rng(14)
+    n = 200
+    t = rng.uniform(0, 1, n)
+    a = np.minimum.outer(t, t)
+    b = rng.standard_normal(n)
+    calls = []
+    real_dtrsv = blas.dtrsv
+
+    def counting_dtrsv(*args, **kwargs):
+        calls.append("dtrsv")
+        return real_dtrsv(*args, **kwargs)
+
+    def apply(v):
+        calls.append("apply")
+        return a @ v
+
+    monkeypatch.setattr(blas, "dtrsv", counting_dtrsv)
+    x = linalg._cholesky_solve(a.copy(), 0.5, b, apply)
+    assert calls == ["dtrsv", "dtrsv", "apply"]
+    expected = np.linalg.solve(a + 0.5 * np.eye(n), b)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    with pytest.raises(np.linalg.LinAlgError, match="refinement stalled"):
+        linalg._cholesky_solve(a.astype(np.float32), 0.5, b, lambda v: 2 * a @ v)
+    with pytest.raises(np.linalg.LinAlgError, match="residual above tolerance"):
+        linalg._cholesky_solve(a.copy(), 0.5, b, lambda v: 2 * a @ v)
 
 
 def test_pinv_checks_rhs_before_eigh(monkeypatch):
@@ -298,6 +333,11 @@ def test_pinv_checks_rhs_before_eigh(monkeypatch):
         pinv_solve(np.eye(3), np.array([1.0, np.nan, 0.0]))
     with pytest.raises(ContractError, match="length"):
         pinv_solve(np.eye(3), np.ones(2))
+    # both solves share the right-hand side contract
+    for bad in (np.ones((3, 2, 2)), np.ones((3, 0))):
+        for solve in (pinv_solve, lambda a, b: spd_solve(a, 0.1, b)):
+            with pytest.raises(ContractError, match="vector or a matrix"):
+                solve(np.eye(3), bad)
 
 
 def test_pinv_identity():

@@ -323,7 +323,7 @@ def test_non_finite_label_rejected_before_any_cell_fit(fit, patched, monkeypatch
     assert calls == []
 
 
-@pytest.mark.parametrize("lam", [0.0, -1e-2, np.nan])
+@pytest.mark.parametrize("lam", [0.0, -1e-2, np.nan, np.inf])
 @pytest.mark.parametrize(
     "fit, patched",
     [

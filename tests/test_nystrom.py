@@ -297,17 +297,17 @@ def test_min_normal_equations_match_blocked_build(case, monkeypatch):
     y = np.sin(6 * x) + np.random.default_rng(24).standard_normal(n)
     spec = brownian()
     systems = []
-    real_solve = linalg._refined_solve
+    real_solve = linalg._cholesky_solve
 
-    def capturing_solve(b, apply, shift, rhs):
+    def capturing_solve(b, shift, rhs, apply):
         system = (b.copy(), apply, shift, rhs.copy())
-        outcome = _outcome(real_solve, b, apply, shift, rhs)
+        outcome = _outcome(real_solve, b, shift, rhs, apply)
         systems.append(system + (outcome,))
         if isinstance(outcome, str):
             raise np.linalg.LinAlgError(outcome)
         return outcome
 
-    monkeypatch.setattr(linalg, "_refined_solve", capturing_solve)
+    monkeypatch.setattr(linalg, "_cholesky_solve", capturing_solve)
     model = fit_nystrom(x, y, lam, l, seed=4, spec=spec)
     (b, apply, shift, rhs, outcome), = systems
     draw = model.landmarks[:, 0]
@@ -326,7 +326,7 @@ def test_min_normal_equations_match_blocked_build(case, monkeypatch):
     # nor the error that sends a singular system to the pseudo-inverse
     b_nan = b.copy()
     b_nan[np.tri(l, k=-1, dtype=bool)] = np.nan
-    again = _outcome(real_solve, b_nan, apply, shift, rhs)
+    again = _outcome(real_solve, b_nan, shift, rhs, apply)
     if isinstance(outcome, str):
         assert again == outcome
     else:
@@ -377,7 +377,7 @@ def test_min_kernel_fit_checks_the_domain_first(outside, monkeypatch):
     x[100] = outside
     assert 100 not in sample_landmarks(256, 8, seed=5)  # not a landmark
     solves = []
-    for name in ("_refined_solve", "pinv_solve"):
+    for name in ("_cholesky_solve", "pinv_solve"):
         monkeypatch.setattr(linalg, name, lambda *args, name=name: solves.append(name))
     with pytest.raises(DomainError):
         fit_nystrom(x, np.zeros(x.size), 1e-3, 8, seed=5, spec=brownian())
@@ -402,9 +402,9 @@ def test_blocked_normal_equations_match_one_block(monkeypatch):
     systems = []
     real_solve = linalg._cholesky_solve
 
-    def capturing_solve(b, shift, rhs):
+    def capturing_solve(b, shift, rhs, apply):
         systems.append((b.copy(), rhs.copy()))
-        return real_solve(b, shift, rhs)
+        return real_solve(b, shift, rhs, apply)
 
     monkeypatch.setattr(linalg, "_cholesky_solve", capturing_solve)
     whole = fit_nystrom(x, y, 1e-3, 20, seed=4, spec=spec)
@@ -436,6 +436,8 @@ def test_blocked_normal_equations_match_one_block(monkeypatch):
 def test_fit_contract_errors():
     with pytest.raises(ContractError):
         fit_nystrom([0.1, 0.2], [1.0, 2.0], 0.0, 1, seed=0, spec=brownian())
+    with pytest.raises(ContractError, match="finite"):
+        fit_nystrom([0.1, 0.2], [1.0, 2.0], np.inf, 1, seed=0, spec=brownian())
     with pytest.raises(ContractError):
         fit_nystrom([0.1, 0.2], [1.0], 1e-2, 1, seed=0, spec=brownian())
     with pytest.raises(ContractError):

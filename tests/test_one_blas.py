@@ -81,6 +81,68 @@ def _lapack_uses(path: Path):
             yield node.lineno, lines[node.lineno - 1].strip()
 
 
+# Cholesky routines that would open a second solve path beside linalg's one
+_OTHER_CHOLESKY = ("cho_factor", "cho_solve", "potrs")
+
+
+def _potrf_calls(path: Path):
+    """(line number, source line) of every call in path whose callee names potrf."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "potrf" in ast.unparse(node.func):
+            yield node.lineno, lines[node.lineno - 1].strip()
+
+
+def _other_cholesky_uses(path: Path):
+    """(line number, source line) of every name, attribute, import or string
+    in path, docstrings aside, that names a routine of _OTHER_CHOLESKY."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [] if id(node) in docstrings else [node.value]
+        else:
+            names = []
+        if any(routine in name for name in names for routine in _OTHER_CHOLESKY):
+            yield node.lineno, lines[node.lineno - 1].strip()
+
+
+def test_one_cholesky_solve():
+    # linalg._cholesky_solve is the package's one Cholesky solve
+    assert len(list(_potrf_calls(_SRC / "linalg.py"))) == 1
+    offenders = [
+        f"{path.name}:{lineno}: {line}"
+        for path in sorted(_SRC.glob("*.py"))
+        for lineno, line in _other_cholesky_uses(path)
+    ]
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    ["from scipy.linalg import cho_factor", "c = scipy.linalg.cho_factor(a)",
+     "x = cho_solve(c, b)", "x = lapack.dpotrs(c, b)", "x = getattr(lapack, 'spotrs')(c, b)"],
+)
+def test_cholesky_guard_sees_other_solves(tmp_path, snippet):
+    path = tmp_path / "mod.py"
+    path.write_text(f'"""Mentions cho_factor and potrs in a docstring."""\n{snippet}\n')
+    assert {line for _, line in _other_cholesky_uses(path)} == {snippet}
+
+
 def test_only_linalg_calls_lapack():
     offenders = [
         f"{path.name}:{lineno}: {line}"
