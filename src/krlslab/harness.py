@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy.linalg import blas
 
-from . import synth
+from . import kernels, synth
 from .exceptions import ContractError
 from .localized import (
     fit_distributed_average,
@@ -66,9 +66,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(kernels._count(n, "n") for n in self.n_grid))
         for name in ("replications", "n_test", "master_seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, kernels._count(getattr(self, name), name))
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ContractError(f"unknown estimator {est!r}")
@@ -92,6 +92,8 @@ class ExperimentConfig:
                 continue
             if len(vals) != len(self.n_grid):
                 raise ContractError(f"{name} must match the n grid in length")
+            if cast is int:
+                vals = [kernels._count(v, name) for v in vals]
             object.__setattr__(self, name, tuple(cast(v) for v in vals))
         if self.experiment not in ("rate", "improved_bound"):
             raise ContractError(f"unknown experiment kind {self.experiment!r}")
@@ -166,8 +168,8 @@ def schedule_values(config: ExperimentConfig, i: int):
     lam = config.lambdas[i] if config.lambdas else lambda_schedule(n, params)
     m = config.ms[i] if config.ms else m_schedule(n, params)
     l = config.ls[i] if config.ls else l_schedule(n, params)
-    if not lam > 0:
-        raise ContractError("scheduled lambda must be positive")
+    if not 0 < lam < np.inf:
+        raise ContractError("scheduled lambda must be positive and finite")
     if m < 1 or l < 1:
         raise ContractError("scheduled m and l must be at least 1")
     return lam, m, l

@@ -151,6 +151,16 @@ def _as_data(x, y, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, y
 
 
+def _count(value, name: str) -> int:
+    """value as an int if it is a whole number, numpy integers included."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ContractError(f"{name} must be a whole number, got {value!r}")
+
+
 def _check_in_box(pts: np.ndarray, box):
     """Require at least one point, all finite, each coordinate in its interval.
 

@@ -42,7 +42,7 @@ from .kernels import KernelSpec
 # being mapped and page-faulted in afresh. On the benchmark, 2**18 to 2**21
 # scored alike and peak RSS grew with the block by a few MB.
 _BLOCK_ENTRIES = 2**20
-# Rows per band of a triangle written or mirrored band by band, and the strict
+# Rows per band of a triangle written band by band, and the strict
 # lower triangle of one diagonal block, sliced rather than built per band.
 _BAND = 64
 _STRICT_LOWER = np.tri(_BAND, k=-1, dtype=bool)

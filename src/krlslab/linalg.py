@@ -20,10 +20,13 @@ symmetric by construction, skip the symmetry check through the private
 ``_spd_solve`` and hand it a function that builds the matrix, so that a
 dense fit holds one n x n buffer and the jitter retry factors a rebuilt
 Gram; the public ``spd_solve`` factors a copy. Brownian fits hand it a
-float32 Gram, or the float64 Nystrom normal equations, with a prefix-sum
-product. Only a float32 factor is refined in float64, as LAPACK's dsposv
-does (Buttari et al., IJHPCA 2007); when that fails, the caller frees it
-and solves in float64, so a fit never holds more than that solve would.
+float32 Gram with a prefix-sum product. Only a float32 factor is refined in
+float64, as LAPACK's dsposv does (Buttari et al., IJHPCA 2007); when that
+fails, the caller frees it and solves in float64, so a fit never holds
+more than that solve would.
+
+Nystrom fits solve by ``_psd_solve``, which falls back to ``_pinv_solve``,
+the public ``pinv_solve`` less its checks; both read an upper triangle only.
 
 Every LAPACK call of the package is made here.
 """
@@ -78,12 +81,7 @@ def _require_symmetric(a: np.ndarray, op: str) -> np.ndarray:
 
 def eigh(a: np.ndarray) -> EigenDecomposition:
     """Full symmetric eigendecomposition, eigenvalues descending."""
-    return _eigh(_require_symmetric(a, "eigh"))
-
-
-def _eigh(a: np.ndarray) -> EigenDecomposition:
-    """eigh for a float matrix already checked by _require_symmetric."""
-    w, v = scipy.linalg.eigh(a)
+    w, v = scipy.linalg.eigh(_require_symmetric(a, "eigh"), check_finite=False)
     return EigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
 
@@ -156,6 +154,17 @@ def _spd_solve(build: Callable[[], np.ndarray], shift: float, b) -> np.ndarray:
             f"shifted solve failed even with diagonal jitter {jitter:.3e}: {error}",
             jitter=jitter,
         ) from error
+
+
+def _psd_solve(build: Callable[[], np.ndarray], b, apply) -> np.ndarray:
+    """Solve K x = b for a positive semidefinite K, apply(v) = K v, whose
+    upper triangle build() returns, C-ordered float64: by ``_cholesky_solve``
+    on one build(), or else by ``_pinv_solve`` on a second."""
+    try:
+        return _cholesky_solve(build(), 0.0, b, apply)
+    except np.linalg.LinAlgError:
+        pass  # leave the except clause first: its traceback holds the factor
+    return _pinv_solve(build(), b)
 
 
 def _lower_product(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -265,9 +274,13 @@ def pinv_solve(a: np.ndarray, b: np.ndarray, rel_tol: float = PINV_RTOL) -> np.n
     if rel_tol <= 0:
         raise ContractError("rel_tol must be positive")
     a = _require_symmetric(a, "pinv_solve")
-    b = _rhs(b, a.shape[0])
-    dec = _eigh(a)
-    w, v = dec.eigenvalues, dec.eigenvectors
+    return _pinv_solve(a, _rhs(b, a.shape[0]), rel_tol)
+
+
+def _pinv_solve(a: np.ndarray, b: np.ndarray, rel_tol: float = PINV_RTOL) -> np.ndarray:
+    """pinv_solve of the finite symmetric matrix held in a's upper triangle."""
+    w, v = scipy.linalg.eigh(a.T, check_finite=False)  # a.T's lower triangle is a's upper one
+    w, v = w[::-1], v[:, ::-1]
     top = w[0] if w.size else 0.0
     if top <= 0.0:
         return np.zeros_like(b)

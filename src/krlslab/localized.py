@@ -182,7 +182,7 @@ def fit_localized_nystrom(
     Each cell draws landmarks from its own seed, derived from (seed, j), so
     results do not depend on cell processing order.
     """
-    if not int(l) >= 1:
+    if not kernels._count(l, "landmark budget l") >= 1:
         raise ContractError("landmark budget l must be at least 1")
 
     def fit_cell(j, xj, yj, spec):
@@ -230,7 +230,7 @@ def fit_distributed_average(
     """
     pts, y = kernels._as_data(x, y, spec.dim)
     n = pts.shape[0]
-    if not 1 <= int(m) <= n:
+    if not 1 <= kernels._count(m, "chunk count m") <= n:
         raise ContractError(f"chunk count m={m} must satisfy 1 <= m <= n={n}")
     perm = np.random.default_rng(seed).permutation(n)
     models = tuple(

@@ -8,18 +8,18 @@ solve the explicit normal equations
 
 For the min kernel both sides have a closed form in prefix sums over the
 sorted inputs (see ``_min_nystrom_solve``): O(n log n + l^2) time and
-O(n + l^2) memory, with no cross-Gram at all. Only the upper triangle of
-the matrix is written; ``linalg._cholesky_solve`` factors it by a dense
-O(l^3) Cholesky and checks the solution against an O(l) product from the
-same prefix sums. For other kernels they are accumulated in place by
-scipy's syrk and gemv over row blocks of K_nl of the size
-``krls._row_blocks`` gives, so the n x l cross-Gram is never stored whole:
-the fit holds one block at a time, and no block adds an l x l matrix, for
-O(n l^2) time; the matrix is mirrored, and the same solve factors a copy
-and checks the solution by a symv on the matrix itself. Either system
-falls back to an eigenvalue-truncated pseudo-inverse of the mirrored matrix
-when factorization or the residual check fails, so rank-deficient landmark
-sets (duplicate coordinates, l near the numerical rank) stay well defined.
+O(n + l^2) memory, with no cross-Gram at all, and an O(l) product checks
+the solution. For other kernels they are accumulated in place by scipy's
+syrk and gemv over row blocks of K_nl of the size ``krls._row_blocks``
+gives, so the n x l cross-Gram is never stored whole: the fit holds one
+block at a time, and no block adds an l x l matrix, for O(n l^2) time; a
+symv on the matrix itself checks the solution.
+Either way only the upper triangle is written, and ``linalg._psd_solve``
+factors it by a dense O(l^3) Cholesky or, when factorization or the
+residual check fails, solves by an eigenvalue-truncated pseudo-inverse of
+the same triangle, so rank-deficient landmark sets (duplicate coordinates,
+l near the numerical rank) stay well defined. It is never mirrored, and its
+symmetry, exact by construction, is never re-checked.
 """
 
 from __future__ import annotations
@@ -64,26 +64,11 @@ def sample_landmarks(n: int, l: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise EmptyInputError("need at least one point to sample from")
+    l = kernels._count(l, "landmark count l")
     if not 1 <= l <= n:
         raise ContractError(f"landmark count l={l} must satisfy 1 <= l <= n={n}")
     rng = np.random.default_rng(seed)
     return rng.choice(n, size=l, replace=False)
-
-
-def _mirror_upper(b: np.ndarray):
-    """Copy the upper triangle of square b onto its lower one, in place.
-
-    Column band by column band: the block below a band's diagonal block is
-    the transpose of the block to its right, and the diagonal block mirrors
-    itself through a triangular mask. No temporary is larger than one band
-    of b.
-    """
-    l = b.shape[0]
-    for i in range(0, l, krls._BAND):
-        j = min(i + krls._BAND, l)
-        b[j:, i:j] = b[i:j, j:].T
-        diag = b[i:j, i:j]
-        np.copyto(diag, diag.T, where=krls._STRICT_LOWER[: j - i, : j - i])
 
 
 def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromModel:
@@ -116,11 +101,7 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
         alpha = _min_nystrom_solve(pts[:, 0], y, landmarks[:, 0], n * lam)
     else:
         b, rhs = _blocked_normal_equations(spec, pts, y, landmarks, n * lam)
-        try:
-            # on a copy: the attempt consumes its matrix, and the fallback needs b
-            alpha = linalg._cholesky_solve(b.copy(), 0.0, rhs, lambda v: blas.dsymv(1.0, b.T, v))
-        except np.linalg.LinAlgError:
-            alpha = linalg.pinv_solve(b, rhs)
+        alpha = linalg._psd_solve(b.copy, rhs, lambda v: blas.dsymv(1.0, b.T, v, lower=1))
     return NystromModel(
         landmarks=landmarks,
         landmark_indices=idx,
@@ -133,15 +114,14 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
 
 def _blocked_normal_equations(spec: KernelSpec, pts: np.ndarray, y: np.ndarray,
                               landmarks: np.ndarray, shift: float):
-    """b = K_nl^T K_nl + shift * K_ll and rhs = K_nl^T y, one row block of
-    K_nl at a time; b is exactly symmetric."""
+    """The upper triangle of b = K_nl^T K_nl + shift * K_ll, and rhs =
+    K_nl^T y, one row block of K_nl at a time."""
     # syrk and gemv accumulate into b and rhs in place: c = b.T and k.T are
     # Fortran-ordered, so scipy's BLAS copies neither. syrk fills c's lower
-    # triangle, b's upper one, which is mirrored once at the end so that b
-    # is exactly symmetric. syrk adds each panel of the inner dimension into c
-    # as it goes, so only a block within one panel (a few hundred rows) is
-    # bitwise numpy's K_nl.T @ K_nl + n * lam * K_ll; longer ones agree to
-    # rounding.
+    # triangle, b's upper one, and leaves the rest as it was. syrk adds each
+    # panel of the inner dimension into c as it goes, so only a block within
+    # one panel (a few hundred rows) is bitwise numpy's K_nl.T @ K_nl + n *
+    # lam * K_ll; longer ones agree to rounding.
     n, l = pts.shape[0], landmarks.shape[0]
     b = kernels.gram(spec, landmarks)
     b *= shift
@@ -152,9 +132,7 @@ def _blocked_normal_equations(spec: KernelSpec, pts: np.ndarray, y: np.ndarray,
         c = blas.dsyrk(1.0, k, beta=1.0, c=c, lower=1, overwrite_c=1)
         rhs = blas.dgemv(1.0, k, y[rows], beta=1.0, y=rhs, overwrite_y=1)
         del k  # let the block go before the next one is built
-    b = c.T
-    _mirror_upper(b)
-    return b, rhs
+    return c.T, rhs
 
 
 def _min_nystrom_solve(t: np.ndarray, y: np.ndarray, z: np.ndarray, shift: float):
@@ -172,12 +150,11 @@ def _min_nystrom_solve(t: np.ndarray, y: np.ndarray, z: np.ndarray, shift: float
     z_a u_c + v_a, with u_c = S1(z_c) + z_c (n - N(z_c)) and v_a =
     S2(z_a) - z_a S1(z_a) + shift * z_a, so one dger over a broadcast of v
     writes the upper triangle. The same split gives b x in O(l) for
-    ``linalg._cholesky_solve``, which factors that triangle in float64 and
-    checks the residual against it, so b is never mirrored. rhs is
-    ``krls._sorted_min_expansion`` with inputs and landmarks swapped, on the
-    same sort. After the O(n log n) sort, b costs O(l^2) and its Cholesky
-    factor O(l^3). The solve consumes b, so the pseudo-inverse fallback
-    builds it again, mirrored, rather than the fit holding a copy.
+    ``linalg._psd_solve``, which factors that triangle in float64 and
+    checks the residual against it. rhs is ``krls._sorted_min_expansion``
+    with inputs and landmarks swapped, on the same sort. After the
+    O(n log n) sort, b costs O(l^2) and its Cholesky factor O(l^3). The
+    solve consumes b, so the fallback builds it again.
     """
     n = t.shape[0]
     landmark_order = np.argsort(z, kind="stable")
@@ -216,12 +193,7 @@ def _min_nystrom_solve(t: np.ndarray, y: np.ndarray, z: np.ndarray, shift: float
         sums *= weights
         return sums.sum(axis=0)
 
-    try:
-        alpha = linalg._cholesky_solve(upper(), 0.0, rhs, apply)
-    except np.linalg.LinAlgError:
-        b = upper()
-        _mirror_upper(b)
-        alpha = linalg.pinv_solve(b, rhs)
+    alpha = linalg._psd_solve(upper, rhs, apply)
     out = np.empty_like(alpha)
     out[landmark_order] = alpha
     return out

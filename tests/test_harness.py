@@ -14,8 +14,13 @@ from krlslab import (
     NoiseSpec,
     RateReport,
     Row,
+    brownian,
+    build_grid_partition,
     emit_report,
+    fit_distributed_average,
+    fit_localized_nystrom,
     fit_loglog_slope,
+    fit_nystrom,
     l_schedule,
     lambda_schedule,
     m_schedule,
@@ -28,6 +33,7 @@ from krlslab import (
     run_improved_bound_experiment,
     run_rate_experiment,
     run_timing_benchmark,
+    sample_landmarks,
     schedule_values,
     sobolev_task,
 )
@@ -85,6 +91,38 @@ def test_schedule_values_auto_and_explicit():
     bad = _config(n_grid=(1024,), lambdas=(0.0,))
     with pytest.raises(ContractError):
         schedule_values(bad, 0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, 0.0, math.nan])
+def test_listed_lambda_must_be_positive_and_finite(bad):
+    cfg = _config(n_grid=(64,), lambdas=(bad,))
+    for run in (lambda: schedule_values(cfg, 0), lambda: run_rate_experiment(cfg)):
+        with pytest.raises(ContractError, match="scheduled lambda must be positive and finite"):
+            run()
+
+
+_X = np.linspace(0.05, 0.95, 12)
+_COUNTED = {
+    "fit_nystrom": ("l", lambda l: fit_nystrom(_X, np.sin(_X), 1e-2, l, 0, brownian())),
+    "sample_landmarks": ("l", lambda l: sample_landmarks(12, l, 0)),
+    "fit_localized_nystrom": ("l", lambda l: fit_localized_nystrom(
+        _X, np.sin(_X), build_grid_partition((0.0, 1.0), 2), 1e-2, l, 0, brownian())),
+    "fit_distributed_average": ("m", lambda m: fit_distributed_average(
+        _X, np.sin(_X), m, 1e-2, brownian(), 0)),
+    "config_ms": ("ms", lambda m: _config(ms=(m,))),
+    "config_ls": ("ls", lambda l: _config(ls=(l,))),
+    "config_n_grid": ("n", lambda n: _config(n_grid=(n,))),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, "2"])
+@pytest.mark.parametrize("entry", sorted(_COUNTED))
+def test_counts_must_be_whole_numbers(entry, value):
+    name, call = _COUNTED[entry]
+    with pytest.raises(ContractError, match=f"{name} must be a whole number"):
+        call(value)
+    for whole in (np.int64(2), np.uint8(2), 2.0):  # numpy integers and integral floats pass
+        call(whole)
 
 
 def test_per_n_lists_override_the_schedule():

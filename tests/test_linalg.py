@@ -377,6 +377,18 @@ def test_pinv_idempotent_on_range():
     assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
+def test_private_pinv_reads_only_the_upper_triangle():
+    # NaN below the diagonal changes no bit: the private solve is the public
+    # one on the mirrored matrix, less its checks
+    rng = np.random.default_rng(6)
+    v = rng.standard_normal((6, 3))
+    a = v @ v.T  # rank 3
+    mirrored = np.triu(a) + np.triu(a, 1).T
+    a[np.tri(6, k=-1, dtype=bool)] = np.nan
+    for b in (rng.standard_normal(6), rng.standard_normal((6, 2))):
+        np.testing.assert_array_equal(linalg._pinv_solve(a, b), pinv_solve(mirrored, b))
+
+
 def test_pinv_rejects_bad_tolerance():
     with pytest.raises(ContractError):
         pinv_solve(np.eye(2), np.ones(2), rel_tol=0.0)

@@ -12,7 +12,9 @@ from krlslab import (
     DomainError,
     EmptyInputError,
     brownian,
+    build_grid_partition,
     fit_krls,
+    fit_localized_nystrom,
     fit_nystrom,
     gaussian,
     gram,
@@ -204,14 +206,14 @@ def test_normal_equations_hold_one_block(monkeypatch):
 
 
 def test_normal_equations_mirror_in_place(monkeypatch):
-    # After the last syrk, b's upper triangle is copied onto its lower one
-    # in place: an index-array mirror builds two l(l - 1)/2-entry arrays
-    # (520 KB here) and a gathered copy of the triangle.
+    # No mirror any more: after the last syrk, b reaches the solve as syrk
+    # left it, with no l x l temporary (512 KB here) in between, and its
+    # strict lower triangle still holds n * lam * K_ll alone.
     rng = np.random.default_rng(17)
-    n, l = 1024, 256
+    n, l, lam = 1024, 256, 1e-3
     x = rng.uniform(0, 1, n)
     y = rng.standard_normal(n)
-    marks, peaks = [], []
+    marks, peaks, systems = [], [], []
     real_dsyrk = blas.dsyrk
 
     def marked_dsyrk(*args, **kwargs):
@@ -220,23 +222,31 @@ def test_normal_equations_mirror_in_place(monkeypatch):
         marks.append(tracemalloc.get_traced_memory()[0])
         return c
 
+    def capturing_solve(build, rhs, apply):
+        systems.append(build())
+        return linalg._psd_solve(build, rhs, apply)
+
     class MeasuredLinalg:
-        # nystrom looks up linalg._cholesky_solve before it evaluates the
-        # b.copy() handed to it, so the peak read here ends at the attempt
+        # nystrom looks up linalg._psd_solve before it evaluates the
+        # arguments handed to it, so the peak read here ends at the solve
         def __getattr__(self, name):
-            if name == "_cholesky_solve":
+            if name == "_psd_solve":
                 peaks.append(tracemalloc.get_traced_memory()[1] - marks[-1])
+                return capturing_solve
             return getattr(linalg, name)
 
     monkeypatch.setattr(blas, "dsyrk", marked_dsyrk)
     monkeypatch.setattr(nystrom, "linalg", MeasuredLinalg())
     tracemalloc.start()
     try:
-        fit_nystrom(x, y, 1e-3, l, seed=5, spec=laplacian(0.5))
+        model = fit_nystrom(x, y, lam, l, seed=5, spec=laplacian(0.5))
     finally:
         tracemalloc.stop()
     assert len(peaks) == 1
     assert peaks[0] < l * l * 8 / 4
+    k_ll = gram(laplacian(0.5), model.landmarks)
+    k_ll *= n * lam
+    np.testing.assert_array_equal(np.tril(systems[0], -1), np.tril(k_ll, -1))
 
 
 def test_min_kernel_fit_skips_cross_gram_and_syrk(monkeypatch):
@@ -278,6 +288,11 @@ def _min_case(name):
         return x, 50
     n, l = {"uniform": (300, 40), "one_landmark": (60, 1), "all_landmarks": (64, 64)}[name]
     return rng.uniform(0, 1, n), l
+
+
+def _symmetric(b):
+    """The symmetric matrix whose upper triangle b holds."""
+    return np.triu(b) + np.triu(b, 1).T
 
 
 def _outcome(solve, *args):
@@ -334,19 +349,20 @@ def test_min_normal_equations_match_blocked_build(case, monkeypatch):
         np.testing.assert_array_equal(model.alpha[order], outcome)
     # the O(l) product is b_ref's
     v = np.random.default_rng(25).standard_normal(l)
-    gap = np.abs(apply(v) - b_ref @ v).max()
+    gap = np.abs(apply(v) - _symmetric(b_ref) @ v).max()
     assert gap <= 1e-13 * np.abs(b_ref).max() * np.abs(v).max()
     # alpha comes back in draw order: it solves the draw-ordered system
     b_draw, rhs_draw = nystrom._blocked_normal_equations(
         spec, x[:, None], y, model.landmarks, n * lam
     )
-    residual = b_draw @ model.alpha - rhs_draw
+    residual = _symmetric(b_draw) @ model.alpha - rhs_draw
     assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs_draw)
 
 
 def test_min_kernel_fit_solves_without_mirror_or_cho(monkeypatch):
-    # distinct landmarks: the upper triangle goes to the refined solve,
-    # which factors it by dpotrf and corrects against the O(l) product
+    # distinct landmarks: the upper triangle goes to the float64 Cholesky
+    # solve, which factors it by dpotrf, solves by two dtrsv and checks the
+    # residual once against the O(l) product, with no scipy.linalg call
     calls = []
 
     def refused(name):
@@ -363,12 +379,12 @@ def test_min_kernel_fit_solves_without_mirror_or_cho(monkeypatch):
     b, rhs = nystrom._blocked_normal_equations(
         brownian(), x[:, None], y, x[sample_landmarks(n, l, 6), None], n * lam
     )
-    monkeypatch.setattr(nystrom, "_mirror_upper", refused("_mirror_upper"))
     monkeypatch.setattr(scipy.linalg, "cho_factor", refused("cho_factor"))
     monkeypatch.setattr(scipy.linalg, "cho_solve", refused("cho_solve"))
     model = fit_nystrom(x, y, lam, l, seed=6, spec=brownian())
     assert calls == []
-    assert np.linalg.norm(b @ model.alpha - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    residual = _symmetric(b) @ model.alpha - rhs
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("outside", [1.5, -0.1, np.nan])
@@ -377,19 +393,11 @@ def test_min_kernel_fit_checks_the_domain_first(outside, monkeypatch):
     x[100] = outside
     assert 100 not in sample_landmarks(256, 8, seed=5)  # not a landmark
     solves = []
-    for name in ("_cholesky_solve", "pinv_solve"):
+    for name in ("_cholesky_solve", "_pinv_solve"):
         monkeypatch.setattr(linalg, name, lambda *args, name=name: solves.append(name))
     with pytest.raises(DomainError):
         fit_nystrom(x, np.zeros(x.size), 1e-3, 8, seed=5, spec=brownian())
     assert solves == []
-
-
-@pytest.mark.parametrize("l", [1, 63, 64, 65, 200])
-def test_mirror_copies_upper_triangle_across_bands(l):
-    b = np.random.default_rng(l).standard_normal((l, l))
-    expected = np.triu(b) + np.triu(b, 1).T
-    nystrom._mirror_upper(b)
-    np.testing.assert_array_equal(b, expected)
 
 
 def test_blocked_normal_equations_match_one_block(monkeypatch):
@@ -411,7 +419,9 @@ def test_blocked_normal_equations_match_one_block(monkeypatch):
     # one block is bitwise the unblocked formula
     k_nl = cross_gram(spec, x, whole.landmarks)
     b_one, rhs_one = systems[0]
-    np.testing.assert_array_equal(b_one, k_nl.T @ k_nl + 100 * 1e-3 * gram(spec, whole.landmarks))
+    k_ll = 100 * 1e-3 * gram(spec, whole.landmarks)
+    np.testing.assert_array_equal(np.triu(b_one), np.triu(k_nl.T @ k_nl + k_ll))
+    np.testing.assert_array_equal(np.tril(b_one, -1), np.tril(k_ll, -1))
     np.testing.assert_array_equal(rhs_one, k_nl.T @ y)
     # 20 * 30 entries per block: 30 rows, so 100 points take 4 blocks
     monkeypatch.setattr(krls, "_BLOCK_ENTRIES", 20 * 30)
@@ -427,7 +437,7 @@ def test_blocked_normal_equations_match_one_block(monkeypatch):
     assert blocks == [30, 30, 30, 10]
     np.testing.assert_array_equal(blocked.landmark_indices, whole.landmark_indices)
     b_blocked, rhs_blocked = systems[1]
-    np.testing.assert_array_equal(b_blocked, b_blocked.T)
+    np.testing.assert_array_equal(np.tril(b_blocked, -1), np.tril(b_one, -1))
     np.testing.assert_allclose(b_blocked, b_one, rtol=1e-12, atol=0)
     scale = np.abs(rhs_one).max()
     np.testing.assert_allclose(rhs_blocked, rhs_one, rtol=1e-12, atol=1e-12 * scale)
@@ -454,13 +464,13 @@ def test_non_finite_labels_rejected():
 
 def test_pinv_fallback_only_for_rank_deficient_landmarks(monkeypatch):
     calls = []
-    real_pinv = linalg.pinv_solve
+    real_pinv = linalg._pinv_solve
 
     def counting_pinv(a, b):
         calls.append(a.shape[0])
         return real_pinv(a, b)
 
-    monkeypatch.setattr(linalg, "pinv_solve", counting_pinv)
+    monkeypatch.setattr(linalg, "_pinv_solve", counting_pinv)
     rng = np.random.default_rng(14)
     # distinct landmarks: the Cholesky solve holds
     x = rng.uniform(0, 1, 200)
@@ -470,3 +480,77 @@ def test_pinv_fallback_only_for_rank_deficient_landmarks(monkeypatch):
     x = np.array([0.2, 0.2, 0.2, 0.5, 0.8, 0.8, 0.35, 0.65])
     fit_nystrom(x, rng.standard_normal(8), 1e-3, 8, seed=3, spec=brownian())
     assert calls == [8]
+
+
+def test_gaussian_fallback_reads_no_strict_lower_entry(monkeypatch):
+    # NaN below the diagonal of the normal equations changes no bit of
+    # alpha, through the failed Cholesky attempt, its product and the
+    # pseudo-inverse that takes over
+    rng = np.random.default_rng(14)
+    x = rng.uniform(0, 1, 200)
+    y = rng.standard_normal(200)
+    spec = gaussian(0.2)
+    clean = fit_nystrom(x, y, 1e-3, 40, seed=2, spec=spec)
+    real_build = nystrom._blocked_normal_equations
+    calls = []
+    real_pinv = linalg._pinv_solve
+
+    def poisoned_build(*args):
+        b, rhs = real_build(*args)
+        b[np.tri(b.shape[0], k=-1, dtype=bool)] = np.nan
+        return b, rhs
+
+    def counting_pinv(a, b):
+        calls.append(a.shape[0])
+        return real_pinv(a, b)
+
+    monkeypatch.setattr(nystrom, "_blocked_normal_equations", poisoned_build)
+    monkeypatch.setattr(linalg, "_pinv_solve", counting_pinv)
+    poisoned = fit_nystrom(x, y, 1e-3, 40, seed=2, spec=spec)
+    assert calls == [40]
+    np.testing.assert_array_equal(poisoned.alpha, clean.alpha)
+
+
+def _duplicates():
+    x = np.array([0.2, 0.2, 0.2, 0.5, 0.8, 0.8, 0.35, 0.65])
+    return x, np.random.default_rng(14).standard_normal(8), 8, 1e-3
+
+
+def _distinct(n=200):
+    rng = np.random.default_rng(14)
+    return rng.uniform(0, 1, n), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("localized", [False, True], ids=["global", "localized"])
+@pytest.mark.parametrize(
+    "spec, case, falls_back",
+    [
+        (brownian(), lambda: _distinct() + (40, 1e-3), False),
+        (brownian(), _duplicates, True),
+        (gaussian(0.2), lambda: _distinct() + (5, 1e-3), False),
+        (gaussian(0.2), lambda: _distinct() + (40, 1e-3), True),
+    ],
+    ids=["brownian", "brownian_fallback", "gaussian", "gaussian_fallback"],
+)
+def test_nystrom_fits_never_recheck_symmetry(spec, case, falls_back, localized, monkeypatch):
+    # the normal equations are symmetric by construction: neither the
+    # Cholesky solve nor its fallback checks them again
+    def refused(*args):
+        raise AssertionError("_require_symmetric")
+
+    fallbacks = []
+    real_pinv = linalg._pinv_solve
+
+    def counting_pinv(a, b):
+        fallbacks.append(a.shape[0])
+        return real_pinv(a, b)
+
+    monkeypatch.setattr(linalg, "_require_symmetric", refused)
+    monkeypatch.setattr(linalg, "_pinv_solve", counting_pinv)
+    x, y, l, lam = case()
+    if localized:
+        part = build_grid_partition(((0.0, 1.0),), 2)
+        fit_localized_nystrom(x, y, part, lam, l, 2, spec)
+    else:
+        fit_nystrom(x, y, lam, l, seed=2, spec=spec)
+    assert bool(fallbacks) == falls_back
