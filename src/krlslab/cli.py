@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import harness, serialize
+from . import harness, kernels, serialize
 from .exceptions import ContractError
 from .synth import NoiseSpec, piecewise_task, sobolev_task
 
@@ -65,8 +65,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.seed < 0:
-        raise ContractError(f"--seed must be non-negative, not {args.seed}")
+    kernels._count(args.seed, "--seed", low=0)
     task = serialize.task_from_dict(_load_json(args.task))
     listed = {"lambdas": args.lam, "ms": args.m, "ls": args.l}
     config = harness.ExperimentConfig(

@@ -67,8 +67,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "n_grid", tuple(kernels._count(n, "n") for n in self.n_grid))
-        for name in ("replications", "n_test", "master_seed"):
-            object.__setattr__(self, name, kernels._count(getattr(self, name), name))
+        for name, low in (("replications", 1), ("n_test", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, kernels._count(getattr(self, name), name, low))
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ContractError(f"unknown estimator {est!r}")
@@ -76,25 +76,16 @@ class ExperimentConfig:
             raise ContractError("need at least one estimator")
         if not self.n_grid:
             raise ContractError("need at least one n")
-        if self.n_grid[0] < 1:
-            raise ContractError("n must be at least 1")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ContractError("n grid must be strictly ascending")
-        if self.replications < 1:
-            raise ContractError("replications must be at least 1")
-        if self.n_test < 1:
-            raise ContractError("n_test must be at least 1")
-        if self.master_seed < 0:
-            raise ContractError(f"master_seed must be non-negative, not {self.master_seed}")
-        for name, cast in (("lambdas", float), ("ms", int), ("ls", int)):
+        for name in ("lambdas", "ms", "ls"):
             vals = getattr(self, name)
             if vals is None:
                 continue
             if len(vals) != len(self.n_grid):
                 raise ContractError(f"{name} must match the n grid in length")
-            if cast is int:
-                vals = [kernels._count(v, name) for v in vals]
-            object.__setattr__(self, name, tuple(cast(v) for v in vals))
+            cast = float if name == "lambdas" else lambda v: kernels._count(v, name)
+            object.__setattr__(self, name, tuple(map(cast, vals)))
         if self.experiment not in ("rate", "improved_bound"):
             raise ContractError(f"unknown experiment kind {self.experiment!r}")
 
@@ -152,9 +143,10 @@ def estimator_seed_id(name: str) -> int:
 
 def row_seeds(master_seed: int, estimator: str, n: int, rep: int):
     """Independent child seeds (data, labels, fit, test) for one unit."""
-    root = np.random.SeedSequence(
-        [int(master_seed), estimator_seed_id(estimator), int(n), int(rep)]
-    )
+    root = np.random.SeedSequence([
+        kernels._count(master_seed, "master_seed", low=0), estimator_seed_id(estimator),
+        kernels._count(n, "n"), kernels._count(rep, "rep", low=0),
+    ])
     return root.spawn(4)
 
 
@@ -168,11 +160,7 @@ def schedule_values(config: ExperimentConfig, i: int):
     lam = config.lambdas[i] if config.lambdas else lambda_schedule(n, params)
     m = config.ms[i] if config.ms else m_schedule(n, params)
     l = config.ls[i] if config.ls else l_schedule(n, params)
-    if not 0 < lam < np.inf:
-        raise ContractError("scheduled lambda must be positive and finite")
-    if m < 1 or l < 1:
-        raise ContractError("scheduled m and l must be at least 1")
-    return lam, m, l
+    return kernels._real(lam, "scheduled lambda"), m, l
 
 
 def _marginal_partition(task: SyntheticTask, m: int):
@@ -209,31 +197,40 @@ def _unit_data(config: ExperimentConfig, estimator: str, n: int, rep: int):
     return x, sample_labels(config.task, x, label_s), fit_s, test_s
 
 
+def _units(config: ExperimentConfig, replications: int):
+    """Each (estimator, n, rep) unit with rep < replications, in run order, as
+    (estimator, n, rep, (lam, m, l), (x, y, fit_seed, test_seed)).
+
+    schedule_values runs once per (estimator, n), before that pair's draws.
+    """
+    for estimator in config.estimators:
+        for i, n in enumerate(config.n_grid):
+            values = schedule_values(config, i)
+            for rep in range(replications):
+                yield estimator, n, rep, values, _unit_data(config, estimator, n, rep)
+
+
 def _run_units(config: ExperimentConfig):
     """One row per (estimator, n, rep), fitted and scored on its own draw."""
     rows = []
-    for estimator in config.estimators:
-        for i, n in enumerate(config.n_grid):
-            lam, m, l = schedule_values(config, i)
-            for rep in range(config.replications):
-                x, y, fit_s, test_s = _unit_data(config, estimator, n, rep)
-                warning = ""
-                mise = fit_seconds = math.nan
-                used_m = used_l = mcc = None
-                try:
-                    tic = time.perf_counter()
-                    model, used_m, used_l, mcc = fit_estimator(
-                        estimator, config.task, x, y, lam, m, l, fit_s
-                    )
-                    fit_seconds = time.perf_counter() - tic
-                    mise = mise_estimate(model, config.task, config.n_test, test_s)
-                    if mcc is not None and mcc < 1:
-                        warning = "empty_cell"
-                except Exception as exc:  # keep the grid running; taint this row only
-                    warning = f"error:{type(exc).__name__}: {exc}"
-                rows.append(
-                    Row(estimator, n, used_m, used_l, lam, rep, mise, fit_seconds, mcc, warning)
-                )
+    for estimator, n, rep, (lam, m, l), (x, y, fit_s, test_s) in _units(
+        config, config.replications
+    ):
+        warning = ""
+        mise = fit_seconds = math.nan
+        used_m = used_l = mcc = None
+        try:
+            tic = time.perf_counter()
+            model, used_m, used_l, mcc = fit_estimator(
+                estimator, config.task, x, y, lam, m, l, fit_s
+            )
+            fit_seconds = time.perf_counter() - tic
+            mise = mise_estimate(model, config.task, config.n_test, test_s)
+            if mcc is not None and mcc < 1:
+                warning = "empty_cell"
+        except Exception as exc:  # keep the grid running; taint this row only
+            warning = f"error:{type(exc).__name__}: {exc}"
+        rows.append(Row(estimator, n, used_m, used_l, lam, rep, mise, fit_seconds, mcc, warning))
     return rows
 
 
@@ -369,19 +366,15 @@ def run_timing_benchmark(config: ExperimentConfig, repeats: int = 5) -> TimingTa
     Times cover the fit call only; data generation and prediction are
     excluded. Scaling exponents are log-log slopes of median time vs n.
     """
-    if repeats < 1:
-        raise ContractError(f"repeats must be at least 1, not {repeats}")
+    repeats = kernels._count(repeats, "repeats")
     rows = []
-    for estimator in config.estimators:
-        for i, n in enumerate(config.n_grid):
-            lam, m, l = schedule_values(config, i)
-            x, y, fit_s, _ = _unit_data(config, estimator, n, 0)
-            times = []
-            for _ in range(repeats):
-                tic = time.perf_counter()
-                fit_estimator(estimator, config.task, x, y, lam, m, l, fit_s)
-                times.append(time.perf_counter() - tic)
-            rows.append(TimingRow(estimator, n, float(np.median(times))))
+    for estimator, n, _, (lam, m, l), (x, y, fit_s, _) in _units(config, 1):
+        times = []
+        for _ in range(repeats):
+            tic = time.perf_counter()
+            fit_estimator(estimator, config.task, x, y, lam, m, l, fit_s)
+            times.append(time.perf_counter() - tic)
+        rows.append(TimingRow(estimator, n, float(np.median(times))))
     exponents = {}
     for est in config.estimators:
         slope = _curve_slope([(r.n, r.median_fit_seconds) for r in rows if r.estimator == est])

@@ -8,6 +8,8 @@ goes through :func:`eval_kernel`, :func:`gram` and :func:`cross_gram`.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,15 +59,10 @@ class KernelSpec:
             if not lo < hi:
                 raise ContractError(f"degenerate domain interval ({lo}, {hi})")
         if self.family in ("gaussian", "laplacian"):
-            if self.bandwidth is None or not self.bandwidth > 0:
-                raise ContractError(f"{self.family} kernel needs bandwidth > 0")
+            object.__setattr__(self, "bandwidth", _real(self.bandwidth, "bandwidth"))
         if self.family == "polynomial":
-            if self.degree is None or int(self.degree) < 1:
-                raise ContractError("polynomial kernel needs degree >= 1")
-            if self.offset is None or self.offset < 0:
-                raise ContractError("polynomial kernel needs offset >= 0")
-            object.__setattr__(self, "degree", int(self.degree))
-            object.__setattr__(self, "offset", float(self.offset))
+            object.__setattr__(self, "degree", _count(self.degree, "degree"))
+            object.__setattr__(self, "offset", _real(self.offset, "offset", zero=True))
         if self.family == "brownian":
             if len(dom) != 1:
                 raise ContractError("brownian kernel is one-dimensional")
@@ -151,14 +148,40 @@ def _as_data(x, y, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, y
 
 
-def _count(value, name: str) -> int:
-    """value as an int if it is a whole number, numpy integers included."""
+def _count(value, name: str, low: int = 1) -> int:
+    """value as an int if it is a whole number of at least ``low``, numpy
+    integers and integral floats included."""
     try:
-        if int(value) == value:
-            return int(value)
+        count = int(value)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ContractError(f"{name} must be a whole number, got {value!r}")
+        count = None
+    if count is None or count != value:
+        raise ContractError(f"{name} must be a whole number, got {value!r}")
+    if count < low:
+        least = "non-negative" if low == 0 else f"at least {low}"
+        raise ContractError(f"{name} must be {least}, not {count}")
+    return count
+
+
+def _real(value, name: str, zero: bool = False) -> float:
+    """value as a float if it is a finite real number that is positive, or
+    nonnegative with ``zero``; numpy scalars and 0-d arrays included, strings
+    not."""
+    real = value.item() if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    if isinstance(real, numbers.Real) and math.isfinite(real):
+        if real > 0 or zero and real == 0:
+            return float(real)
+    sign = "nonnegative" if zero else "positive"
+    raise ContractError(f"{name} must be {sign} and finite, got {value!r}")
+
+
+def _rng(seed) -> np.random.Generator:
+    """numpy's Generator for seed, as ``np.random.default_rng`` builds it;
+    a seed it cannot take raises ContractError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"seed {seed!r} is not a valid seed: {exc}") from None
 
 
 def _check_in_box(pts: np.ndarray, box):

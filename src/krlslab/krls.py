@@ -170,8 +170,7 @@ def fit_krls(x, y, lam: float, spec: KernelSpec) -> KrlsModel:
     buffer is freed and the fit solves in float64; smaller fits solve in
     float64 from the start.
     """
-    if not 0 < lam < np.inf:
-        raise ContractError("lam must be positive and finite")
+    lam = kernels._real(lam, "lam")
     pts, y = kernels._as_data(x, y, spec.dim)
     shift = lam * y.shape[0]
     alpha = None
@@ -180,7 +179,7 @@ def fit_krls(x, y, lam: float, spec: KernelSpec) -> KrlsModel:
         alpha = _refined_min_solve(spec, pts, shift, y)
     if alpha is None:
         alpha = linalg._spd_solve(lambda: kernels.gram(spec, pts), shift, y)
-    return KrlsModel(inputs=pts, alpha=alpha, lam=float(lam), kernel=spec)
+    return KrlsModel(inputs=pts, alpha=alpha, lam=lam, kernel=spec)
 
 
 def _refined_min_solve(spec: KernelSpec, pts: np.ndarray, shift: float, y: np.ndarray):

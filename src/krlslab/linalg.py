@@ -40,6 +40,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
+from . import kernels
 from .exceptions import ContractError, EmptyInputError, IllConditionedError
 
 SYMMETRY_RTOL = 1e-10
@@ -122,6 +123,7 @@ def spd_solve(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
     a: a component in the null space of a singular a comes back divided by
     the jitter, which misses the residual tolerance.
     """
+    shift = kernels._real(shift, "shift", zero=True)
     a = _require_symmetric(a, "spd_solve")
     if a.shape[0] == 0:
         raise EmptyInputError("spd_solve needs a nonempty matrix")
@@ -134,10 +136,8 @@ def _spd_solve(build: Callable[[], np.ndarray], shift: float, b) -> np.ndarray:
     build() must return a fresh, C-ordered, nonempty float matrix that is
     exactly symmetric by construction. It is called once, and once more
     for the jitter retry, after the first matrix has been dropped: a dense
-    fit never holds two n x n matrices.
+    fit never holds two n x n matrices. shift must be nonnegative and finite.
     """
-    if not 0 <= shift < np.inf:
-        raise ContractError("shift must be nonnegative and finite")
     a = build()
     b = _rhs(b, a.shape[0])
     jitter = JITTER_SCALE * float(np.trace(a)) / a.shape[0]
@@ -271,8 +271,7 @@ def pinv_solve(a: np.ndarray, b: np.ndarray, rel_tol: float = PINV_RTOL) -> np.n
     Eigenvalues at or below rel_tol times the largest eigenvalue are dropped.
     An all-zero matrix yields the zero solution rather than an error.
     """
-    if rel_tol <= 0:
-        raise ContractError("rel_tol must be positive")
+    rel_tol = kernels._real(rel_tol, "rel_tol")
     a = _require_symmetric(a, "pinv_solve")
     return _pinv_solve(a, _rhs(b, a.shape[0]), rel_tol)
 

@@ -133,8 +133,7 @@ def _fit_cells(x, y, part: Partition, lam: float, specs, fit_cell) -> LocalizedM
     propagates with its message prefixed by ``cell j:``; ``lam`` is checked
     first, before the split.
     """
-    if not 0 < lam < np.inf:
-        raise ContractError("lam must be positive and finite")
+    lam = kernels._real(lam, "lam")
     stats, cells = partition_mod.split_dataset(part, x, y)
     spec_list = _spec_list(specs, part.m)
     local = []
@@ -150,7 +149,7 @@ def _fit_cells(x, y, part: Partition, lam: float, specs, fit_cell) -> LocalizedM
             exc.args = (f"cell {j}: {head}",) + exc.args[1:]
             raise
     return LocalizedModel(
-        partition=part, local_models=tuple(local), lam=float(lam), cell_stats=stats
+        partition=part, local_models=tuple(local), lam=lam, cell_stats=stats
     )
 
 
@@ -167,10 +166,10 @@ def fit_localized(x, y, part: Partition, lam: float, specs) -> LocalizedModel:
 
 
 def cell_seed(seed, j: int) -> list:
-    """Entropy list for cell j derived from the fit seed; order-independent."""
-    if isinstance(seed, (list, tuple)):
-        return [int(s) for s in seed] + [int(j)]
-    return [int(seed), int(j)]
+    """Entropy list for cell j derived from the fit seed (a whole number or a
+    list of them); order-independent."""
+    seeds = seed if isinstance(seed, (list, tuple)) else [seed]
+    return [kernels._count(s, "seed", low=0) for s in seeds] + [kernels._count(j, "j", low=0)]
 
 
 def fit_localized_nystrom(
@@ -182,11 +181,10 @@ def fit_localized_nystrom(
     Each cell draws landmarks from its own seed, derived from (seed, j), so
     results do not depend on cell processing order.
     """
-    if not kernels._count(l, "landmark budget l") >= 1:
-        raise ContractError("landmark budget l must be at least 1")
+    l = kernels._count(l, "landmark budget l")
 
     def fit_cell(j, xj, yj, spec):
-        nj, lj = xj.shape[0], int(l)
+        nj, lj = xj.shape[0], l
         if nj < lj:
             logger.info("cell %d has %d points; capping landmarks at %d", j, nj, nj)
             lj = nj
@@ -228,13 +226,14 @@ def fit_distributed_average(
     Chunk sizes differ by at most one when m does not divide n. Requires
     m <= n so every chunk is nonempty.
     """
+    lam = kernels._real(lam, "lam")
     pts, y = kernels._as_data(x, y, spec.dim)
     n = pts.shape[0]
-    if not 1 <= kernels._count(m, "chunk count m") <= n:
+    m = kernels._count(m, "chunk count m")
+    if m > n:
         raise ContractError(f"chunk count m={m} must satisfy 1 <= m <= n={n}")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = kernels._rng(seed).permutation(n)
     models = tuple(
-        fit_krls(pts[chunk], y[chunk], lam, spec)
-        for chunk in np.array_split(perm, int(m))
+        fit_krls(pts[chunk], y[chunk], lam, spec) for chunk in np.array_split(perm, m)
     )
-    return DistributedAverageModel(models=models, lam=float(lam), kernel=spec, seed=seed)
+    return DistributedAverageModel(models=models, lam=lam, kernel=spec, seed=seed)

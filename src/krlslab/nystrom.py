@@ -62,13 +62,13 @@ def sample_landmarks(n: int, l: int, seed) -> np.ndarray:
 
     Deterministic in the seed; every size-l subset is equally likely.
     """
-    if n < 1:
+    n = kernels._count(n, "n", low=0)
+    if n == 0:
         raise EmptyInputError("need at least one point to sample from")
     l = kernels._count(l, "landmark count l")
-    if not 1 <= l <= n:
+    if l > n:
         raise ContractError(f"landmark count l={l} must satisfy 1 <= l <= n={n}")
-    rng = np.random.default_rng(seed)
-    return rng.choice(n, size=l, replace=False)
+    return kernels._rng(seed).choice(n, size=l, replace=False)
 
 
 def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromModel:
@@ -90,8 +90,7 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
     rounding, not bit for bit. Other kernels stream K_nl in row blocks in
     O(n l^2) time.
     """
-    if not 0 < lam < np.inf:
-        raise ContractError("lam must be positive and finite")
+    lam = kernels._real(lam, "lam")
     pts, y = kernels._as_data(x, y, spec.dim)
     n = pts.shape[0]
     idx = sample_landmarks(n, l, seed)
@@ -106,7 +105,7 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
         landmarks=landmarks,
         landmark_indices=idx,
         alpha=alpha,
-        lam=float(lam),
+        lam=lam,
         kernel=spec,
         seed=seed,
     )

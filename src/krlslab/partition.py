@@ -35,14 +35,12 @@ class Partition:
             if self.box is None or self.cells_per_dim is None:
                 raise ContractError("grid partition needs box and cells_per_dim")
             box = tuple((float(lo), float(hi)) for lo, hi in self.box)
-            cells = tuple(int(c) for c in self.cells_per_dim)
+            cells = tuple(kernels._count(c, "cells_per_dim") for c in self.cells_per_dim)
             if len(box) != len(cells):
                 raise ContractError("box and cells_per_dim disagree in dimension")
             for lo, hi in box:
                 if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                     raise ContractError(f"box interval ({lo}, {hi}) is not finite and increasing")
-            if any(c < 1 for c in cells):
-                raise ContractError("need at least one cell per dimension")
             object.__setattr__(self, "box", box)
             object.__setattr__(self, "cells_per_dim", cells)
         elif self.scheme == "voronoi":
@@ -76,7 +74,7 @@ def build_grid_partition(box, cells_per_dim) -> Partition:
     if box and np.isscalar(box[0]):
         box = (box,)
     if np.isscalar(cells_per_dim):
-        cells_per_dim = (int(cells_per_dim),) * len(box)
+        cells_per_dim = (cells_per_dim,) * len(box)
     return Partition(scheme="grid", box=box, cells_per_dim=tuple(cells_per_dim))
 
 
@@ -111,7 +109,8 @@ def grid_cell_bounds(partition: Partition, j: int) -> tuple:
     """Bounds of grid cell j as a tuple of per-axis (low, high) pairs."""
     if partition.scheme != "grid":
         raise ContractError("cell bounds are only defined for grid partitions")
-    if not 0 <= j < partition.m:
+    j = kernels._count(j, "cell index j", low=0)
+    if j >= partition.m:
         raise ContractError(f"cell index {j} out of range")
     bounds = []
     rest = j

@@ -34,7 +34,7 @@ from . import kernels, partition as partition_mod
 from .exceptions import ContractError, EmptyInputError
 from .kernels import KernelSpec, brownian
 from .partition import Partition, grid_cell_bounds
-from .theory import ModelParams, lambda_schedule
+from .theory import ModelParams, _smoothness, lambda_schedule
 
 COEFF_SLACK = 0.51  # extra k^{-slack} decay so the defining series converges strictly
 DEFAULT_K_TRUNC = 200
@@ -46,7 +46,7 @@ _ALIGN = 8  # blocks are padded to this many points; see _series
 
 def mercer_eigenvalues(k_trunc: int) -> np.ndarray:
     """First k_trunc eigenvalues ((k - 1/2) pi)^{-2} of the min kernel."""
-    k = np.arange(1, k_trunc + 1)
+    k = np.arange(1, kernels._count(k_trunc, "k_trunc", low=0) + 1)
     return ((k - 0.5) * np.pi) ** -2.0
 
 
@@ -143,16 +143,9 @@ def make_sobolev_target(
     keeps the defining series strictly summable, and a is chosen so that
     sum c_k^2 mu_k^{-2r} = R^2 exactly.
     """
-    if not 0 < r <= 0.5:
-        raise ContractError(f"r={r} must lie in (0, 1/2]")
-    if not R > 0:
-        raise ContractError("R must be positive")
-    if k_trunc < 1:
-        raise ContractError("k_trunc must be at least 1")
-    coeffs, tail = _expansion(r, R, k_trunc)
-    return SobolevTarget(
-        r=float(r), R=float(R), coefficients=coeffs, truncation_sup_error=tail
-    )
+    r, R = _smoothness(r, "r"), kernels._real(R, "R")
+    coeffs, tail = _expansion(r, R, kernels._count(k_trunc, "k_trunc"))
+    return SobolevTarget(r=r, R=R, coefficients=coeffs, truncation_sup_error=tail)
 
 
 @dataclass(frozen=True)
@@ -224,16 +217,14 @@ def make_piecewise_target(
     """Two-smoothness target: exponent r_l on the cells in ``exceptional``,
     r_h on the rest, each piece built natively in its cell's local expansion.
     """
-    for name, val in (("r_l", r_l), ("r_h", r_h)):
-        if not 0 < val <= 0.5:
-            raise ContractError(f"{name}={val} must lie in (0, 1/2]")
-    if not (R_l > 0 and R_h > 0):
-        raise ContractError("R_l and R_h must be positive")
+    r_l, r_h = _smoothness(r_l, "r_l"), _smoothness(r_h, "r_h")
+    R_l, R_h = kernels._real(R_l, "R_l"), kernels._real(R_h, "R_h")
+    k_trunc = kernels._count(k_trunc, "k_trunc")
     if part.scheme != "grid" or part.dim != 1:
         raise ContractError("piecewise targets need a one-dimensional grid partition")
-    exceptional = frozenset(int(j) for j in exceptional)
+    exceptional = frozenset(kernels._count(j, "exceptional cell", low=0) for j in exceptional)
     for j in exceptional:
-        if not 0 <= j < part.m:
+        if j >= part.m:
             raise ContractError(f"exceptional cell {j} out of range")
     coeffs = []
     worst_tail = 0.0
@@ -244,10 +235,10 @@ def make_piecewise_target(
         coeffs.append(cj)
         worst_tail = max(worst_tail, tail)
     return PiecewiseTarget(
-        r_l=float(r_l),
-        r_h=float(r_h),
-        R_l=float(R_l),
-        R_h=float(R_h),
+        r_l=r_l,
+        r_h=r_h,
+        R_l=R_l,
+        R_h=R_h,
         partition=part,
         exceptional=exceptional,
         cell_coefficients=tuple(coeffs),
@@ -263,11 +254,9 @@ class NoiseSpec:
     scale: float
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", float(self.scale))
         if self.kind not in ("gaussian", "uniform_bounded"):
             raise ContractError(f"unknown noise kind {self.kind!r}")
-        if self.scale < 0:
-            raise ContractError("noise scale must be nonnegative")
+        object.__setattr__(self, "scale", kernels._real(self.scale, "noise scale", zero=True))
 
 
 @dataclass(frozen=True)
@@ -377,24 +366,24 @@ def piecewise_task(
     k_trunc: int = DEFAULT_K_TRUNC,
 ) -> SyntheticTask:
     """Brownian-kernel task with a two-smoothness target on a uniform grid."""
-    part = partition_mod.build_grid_partition(((0.0, 1.0),), cells)
+    part = partition_mod.build_grid_partition(((0.0, 1.0),), kernels._count(cells, "cells"))
     target = make_piecewise_target(r_l, r_h, R_l, R_h, part, exceptional, k_trunc)
     return SyntheticTask(target=target, noise=noise, marginal=marginal)
 
 
 def gen_inputs(task: SyntheticTask, n: int, seed) -> np.ndarray:
     """n i.i.d. draws from the task marginal; deterministic per seed."""
-    if n < 1:
+    n = kernels._count(n, "n", low=0)
+    if n == 0:
         raise EmptyInputError("need at least one draw")
     _, lo, hi = task.marginal
-    rng = np.random.default_rng(seed)
-    return lo + (hi - lo) * rng.random(n)
+    return lo + (hi - lo) * kernels._rng(seed).random(n)
 
 
 def sample_labels(task: SyntheticTask, x, seed) -> np.ndarray:
     """y_i = f(x_i) + noise_i with the task's noise law."""
     xs = kernels._as_points(x, 1)[:, 0]
-    rng = np.random.default_rng(seed)
+    rng = kernels._rng(seed)
     clean = task.target(xs)
     if task.noise.scale == 0:
         return clean
@@ -421,8 +410,7 @@ def mise_estimate(predictor, task: SyntheticTask, n_test: int, seed) -> float:
     Fresh test draws come from the task marginal; the estimate is the mean
     of (prediction - truth)^2 over them.
     """
-    if n_test < 1:
-        raise ContractError("n_test must be at least 1")
+    n_test = kernels._count(n_test, "n_test")
     xs = gen_inputs(task, n_test, seed)
     truth = task.target(xs)
     pred = _call_predictor(predictor, xs)
@@ -437,8 +425,7 @@ def cellwise_mse(predictor, task: SyntheticTask, part: Partition, n_test: int, s
     sum_j (count_j / n_test) * mse_j reproduces the global value exactly
     (it is the same sample, merely grouped).
     """
-    if n_test < 1:
-        raise ContractError("n_test must be at least 1")
+    n_test = kernels._count(n_test, "n_test")
     xs = gen_inputs(task, n_test, seed)
     truth = task.target(xs)
     pred = _call_predictor(predictor, xs)

@@ -13,11 +13,12 @@ the exact identity relating local effective dimensions to the global one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import kernels, linalg
 from .exceptions import ContractError
 
 
@@ -40,13 +41,11 @@ class ModelParams:
     r_h: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.r <= 0.5:
-            raise ContractError(f"r={self.r} must lie in (0, 1/2]")
+        object.__setattr__(self, "r", _smoothness(self.r, "r"))
         if not 0 < self.gamma <= 1:
             raise ContractError(f"gamma={self.gamma} must lie in (0, 1]")
         for name in ("R", "sigma", "M"):
-            if not getattr(self, name) > 0:
-                raise ContractError(f"{name} must be positive")
+            object.__setattr__(self, name, kernels._real(getattr(self, name), name))
         if (self.r_l is None) != (self.r_h is None):
             raise ContractError("r_l and r_h must be given together")
         if self.r_l is not None:
@@ -58,12 +57,17 @@ class ModelParams:
     def smoothness(self, r: float | None = None) -> float:
         """Scheduling smoothness: explicit r wins, else r_h when present, else r."""
         if r is not None:
-            if not 0 < r <= 0.5:
-                raise ContractError(f"override r={r} must lie in (0, 1/2]")
-            return float(r)
+            return _smoothness(r, "override r")
         if self.r_h is not None:
             return self.r_h
         return self.r
+
+
+def _smoothness(r, name: str) -> float:
+    """r as a float if it is a real number in (0, 1/2]."""
+    if isinstance(r, numbers.Real) and 0 < r <= 0.5:
+        return float(r)
+    raise ContractError(f"{name}={r!r} must lie in (0, 1/2]")
 
 
 def _power(n: int, num: float, den: float) -> float:
@@ -93,8 +97,7 @@ def lambda_schedule(
     pure-n form. The optional r overrides the schedule smoothness (used to
     compare schedules on two-smoothness problems).
     """
-    if n < 1:
-        raise ContractError("n must be at least 1")
+    n = kernels._count(n, "n")
     rr = params.smoothness(r)
     den = 2 * rr + 1 + params.gamma
     value = _power(n, -1.0, den)
@@ -110,8 +113,7 @@ def m_schedule(n: int, params: ModelParams, r: float | None = None) -> int:
     Powers within 1e-9 of an integer count as exact before flooring, so
     grid sizes like 1024^0.4 = 16 do not slip to 15 through roundoff.
     """
-    if n < 1:
-        raise ContractError("n must be at least 1")
+    n = kernels._count(n, "n")
     rr = params.smoothness(r)
     return max(1, _snap(_power(n, 2 * rr, 2 * rr + 1 + params.gamma), math.floor))
 
@@ -119,8 +121,7 @@ def m_schedule(n: int, params: ModelParams, r: float | None = None) -> int:
 def l_schedule(n: int, params: ModelParams, r: float | None = None) -> int:
     """Landmark count ceil(n^{(1+gamma)/(2r+1+gamma)}), with the same
     near-integer snapping as m_schedule before the ceiling."""
-    if n < 1:
-        raise ContractError("n must be at least 1")
+    n = kernels._count(n, "n")
     rr = params.smoothness(r)
     exact = _power(n, 1 + params.gamma, 2 * rr + 1 + params.gamma)
     return max(1, _snap(exact, math.ceil))
@@ -143,10 +144,8 @@ def effective_dimension(k: np.ndarray, lam: float, kappa_sq: float = 1.0) -> flo
     folds the kernel bound into the operator. Negative eigenvalues from
     roundoff are clipped to zero, so the result is bounded by rank(K).
     """
-    if not lam > 0:
-        raise ContractError("lam must be positive")
-    if not kappa_sq > 0:
-        raise ContractError("kappa_sq must be positive")
+    lam = kernels._real(lam, "lam")
+    kappa_sq = kernels._real(kappa_sq, "kappa_sq")
     k = np.asarray(k, dtype=float)
     scale = 1.0 / k.shape[0] / kappa_sq
     return effective_dimension_from_spectrum(linalg.eigh(k * scale).eigenvalues, lam)
@@ -154,8 +153,7 @@ def effective_dimension(k: np.ndarray, lam: float, kappa_sq: float = 1.0) -> flo
 
 def effective_dimension_from_spectrum(mu, lam: float) -> float:
     """Effective dimension of an operator given its eigenvalues directly."""
-    if not lam > 0:
-        raise ContractError("lam must be positive")
+    lam = kernels._real(lam, "lam")
     mu = np.maximum(np.asarray(mu, dtype=float), 0.0)
     return float(np.sum(mu / (mu + lam)))
 
@@ -165,12 +163,8 @@ def b_quantity(n: int, lam: float, eff_dim: float) -> float:
 
     Approaches 1 from above as n lam grows; always at least 1.
     """
-    if n < 1:
-        raise ContractError("n must be at least 1")
-    if not lam > 0:
-        raise ContractError("lam must be positive")
-    if eff_dim < 0:
-        raise ContractError("eff_dim must be nonnegative")
+    n, lam = kernels._count(n, "n"), kernels._real(lam, "lam")
+    eff_dim = kernels._real(eff_dim, "eff_dim", zero=True)
     t = 2.0 / (n * lam) + math.sqrt(eff_dim / (n * lam))
     return 1.0 + t * t
 
@@ -183,10 +177,8 @@ def n0_sufficient(m: int, params: ModelParams, p_max: float, c_gamma: float) -> 
     Doubling m multiplies the result by 2^{(2r+gamma+1)/(2r)} before
     rounding; R = sigma makes it independent of both.
     """
-    if m < 1:
-        raise ContractError("m must be at least 1")
-    if not p_max > 0 or not c_gamma > 0:
-        raise ContractError("p_max and C_gamma must be positive")
+    m = kernels._count(m, "m")
+    p_max, c_gamma = kernels._real(p_max, "p_max"), kernels._real(c_gamma, "C_gamma")
     r, g = params.smoothness(), params.gamma
     expo = (2 * r + g + 1) / (2 * r)
     ratio = params.R / params.sigma
@@ -202,12 +194,11 @@ def effective_dimension_sum_check(local_spectra, p, lam: float):
     {mu / p_j}. Returns (lhs, rhs, gap); the gap is zero up to roundoff
     for any positive spectra and any positive weights summing to 1.
     """
-    if not lam > 0:
-        raise ContractError("lam must be positive")
+    lam = kernels._real(lam, "lam")
     p = np.asarray(p, dtype=float)
     if len(local_spectra) != p.shape[0]:
         raise ContractError("need one weight per local spectrum")
-    if np.any(p <= 0):
+    if not np.all(p > 0):
         raise ContractError("weights must be positive")
     if abs(p.sum() - 1.0) > 1e-12:
         raise ContractError(f"weights sum to {p.sum()!r}, not 1")
@@ -227,8 +218,7 @@ def local_dimension_diagnostic(local_grams, p, lam: float):
     and cannot verify the asymptotic compatibility claim they relate to.
     The global matrix is assembled as the direct sum of the local Grams.
     """
-    if not lam > 0:
-        raise ContractError("lam must be positive")
+    lam = kernels._real(lam, "lam")
     p = np.asarray(p, dtype=float)
     m = len(local_grams)
     if m != p.shape[0]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,31 +12,54 @@ from krlslab import (
     CSV_HEADER,
     ContractError,
     ExperimentConfig,
+    ModelParams,
     NoiseSpec,
     RateReport,
     Row,
+    b_quantity,
     brownian,
     build_grid_partition,
+    cell_seed,
+    cellwise_mse,
+    effective_dimension,
+    effective_dimension_from_spectrum,
+    effective_dimension_sum_check,
     emit_report,
     fit_distributed_average,
+    fit_krls,
+    fit_localized,
     fit_localized_nystrom,
     fit_loglog_slope,
     fit_nystrom,
+    gaussian,
+    gen_inputs,
+    grid_cell_bounds,
     l_schedule,
     lambda_schedule,
+    laplacian,
+    local_dimension_diagnostic,
     m_schedule,
+    make_piecewise_target,
+    make_sobolev_target,
     mean_mise_curve,
+    mercer_eigenvalues,
+    mise_estimate,
+    n0_sufficient,
     paired_contrast,
     parse_report,
     piecewise_task,
+    pinv_solve,
+    polynomial,
     rate_exponent,
     row_seeds,
     run_improved_bound_experiment,
     run_rate_experiment,
     run_timing_benchmark,
+    sample_labels,
     sample_landmarks,
     schedule_values,
     sobolev_task,
+    spd_solve,
 )
 
 TASK = sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.3))
@@ -102,6 +126,7 @@ def test_listed_lambda_must_be_positive_and_finite(bad):
 
 
 _X = np.linspace(0.05, 0.95, 12)
+_PARAMS = ModelParams(r=0.5, gamma=0.5)
 _COUNTED = {
     "fit_nystrom": ("l", lambda l: fit_nystrom(_X, np.sin(_X), 1e-2, l, 0, brownian())),
     "sample_landmarks": ("l", lambda l: sample_landmarks(12, l, 0)),
@@ -112,6 +137,27 @@ _COUNTED = {
     "config_ms": ("ms", lambda m: _config(ms=(m,))),
     "config_ls": ("ls", lambda l: _config(ls=(l,))),
     "config_n_grid": ("n", lambda n: _config(n_grid=(n,))),
+    "cells_per_dim": ("cells_per_dim", lambda c: build_grid_partition((0.0, 1.0), c)),
+    "degree": ("degree", lambda d: polynomial(d)),
+    "k_trunc": ("k_trunc", lambda k: make_sobolev_target(0.5, 1.0, k)),
+    "mercer_eigenvalues": ("k_trunc", lambda k: mercer_eigenvalues(k)),
+    "piecewise_cells": ("cells", lambda c: piecewise_task(
+        0.25, 0.5, 1.0, 1.0, c, (0,), NoiseSpec("gaussian", 0.1))),
+    "gen_inputs": ("n", lambda n: gen_inputs(TASK, n, 0)),
+    "mise_estimate": ("n_test", lambda n: mise_estimate(np.zeros_like, TASK, n, 0)),
+    "cellwise_mse": ("n_test", lambda n: cellwise_mse(
+        np.zeros_like, TASK, build_grid_partition((0.0, 1.0), 2), n, 0)),
+    "repeats": ("repeats", lambda r: run_timing_benchmark(_config(n_grid=(16,)), repeats=r)),
+    "lambda_schedule": ("n", lambda n: lambda_schedule(n, _PARAMS)),
+    "m_schedule": ("n", lambda n: m_schedule(n, _PARAMS)),
+    "l_schedule": ("n", lambda n: l_schedule(n, _PARAMS)),
+    "b_quantity": ("n", lambda n: b_quantity(n, 0.1, 1.0)),
+    "n0_sufficient": ("m", lambda m: n0_sufficient(m, _PARAMS, 1.0, 1.0)),
+    "grid_cell_bounds": ("cell index j", lambda j: grid_cell_bounds(
+        build_grid_partition((0.0, 1.0), 4), j)),
+    "cell_seed": ("seed", lambda s: cell_seed(s, 0)),
+    "cell_seed_j": ("j", lambda j: cell_seed(0, j)),
+    "row_seeds": ("rep", lambda r: row_seeds(0, "krls", 64, r)),
 }
 
 
@@ -123,6 +169,110 @@ def test_counts_must_be_whole_numbers(entry, value):
         call(value)
     for whole in (np.int64(2), np.uint8(2), 2.0):  # numpy integers and integral floats pass
         call(whole)
+
+
+_K = np.eye(3)
+# entry -> (name in the message, whether 0.0 is allowed, call)
+_REALS = {
+    "fit_krls": ("lam", False, lambda v: fit_krls(_X, np.sin(_X), v, brownian())),
+    "fit_nystrom": ("lam", False, lambda v: fit_nystrom(_X, np.sin(_X), v, 4, 0, brownian())),
+    "fit_localized": ("lam", False, lambda v: fit_localized(
+        _X, np.sin(_X), build_grid_partition((0.0, 1.0), 2), v, brownian())),
+    "fit_localized_nystrom": ("lam", False, lambda v: fit_localized_nystrom(
+        _X, np.sin(_X), build_grid_partition((0.0, 1.0), 2), v, 2, 0, brownian())),
+    "fit_distributed_average": ("lam", False, lambda v: fit_distributed_average(
+        _X, np.sin(_X), 2, v, brownian(), 0)),
+    "effective_dimension": ("lam", False, lambda v: effective_dimension(_K, v)),
+    "effective_dimension_from_spectrum": (
+        "lam", False, lambda v: effective_dimension_from_spectrum([1.0, 0.5], v)),
+    "effective_dimension_sum_check": (
+        "lam", False, lambda v: effective_dimension_sum_check([[1.0]], [1.0], v)),
+    "local_dimension_diagnostic": (
+        "lam", False, lambda v: local_dimension_diagnostic([_K], [1.0], v)),
+    "b_quantity_lam": ("lam", False, lambda v: b_quantity(10, v, 1.0)),
+    "params_R": ("R", False, lambda v: ModelParams(0.5, 0.5, R=v)),
+    "params_sigma": ("sigma", False, lambda v: ModelParams(0.5, 0.5, sigma=v)),
+    "params_M": ("M", False, lambda v: ModelParams(0.5, 0.5, M=v)),
+    "sobolev_R": ("R", False, lambda v: make_sobolev_target(0.5, v, 8)),
+    "piecewise_R_l": ("R_l", False, lambda v: make_piecewise_target(
+        0.25, 0.5, v, 1.0, build_grid_partition((0.0, 1.0), 2), (0,), 8)),
+    "piecewise_R_h": ("R_h", False, lambda v: make_piecewise_target(
+        0.25, 0.5, 1.0, v, build_grid_partition((0.0, 1.0), 2), (0,), 8)),
+    "gaussian": ("bandwidth", False, lambda v: gaussian(v)),
+    "laplacian": ("bandwidth", False, lambda v: laplacian(v)),
+    "offset": ("offset", True, lambda v: polynomial(2, offset=v)),
+    "noise_scale": ("noise scale", True, lambda v: NoiseSpec("gaussian", v)),
+    "rel_tol": ("rel_tol", False, lambda v: pinv_solve(_K, np.ones(3), rel_tol=v)),
+    "kappa_sq": ("kappa_sq", False, lambda v: effective_dimension(_K, 0.1, kappa_sq=v)),
+    "p_max": ("p_max", False, lambda v: n0_sufficient(1, _PARAMS, v, 1.0)),
+    "C_gamma": ("C_gamma", False, lambda v: n0_sufficient(1, _PARAMS, 1.0, v)),
+    "eff_dim": ("eff_dim", True, lambda v: b_quantity(10, 0.1, v)),
+    "shift": ("shift", True, lambda v: spd_solve(_K, v, np.ones(3))),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "0.1"])
+@pytest.mark.parametrize("entry", sorted(_REALS))
+def test_reals_must_be_finite_and_positive(entry, value):
+    name, zero, call = _REALS[entry]
+    sign = "nonnegative" if zero else "positive"
+    with pytest.raises(ContractError, match=f"{name} must be {sign} and finite, got "):
+        call(value)
+    for good in (0.5, np.float32(0.5), np.array(0.5), 1):  # numpy floats and ints pass
+        call(good)
+    if zero:
+        call(0.0)
+    else:
+        with pytest.raises(ContractError, match=f"{name} must be positive and finite"):
+            call(0.0)
+
+
+_SMOOTHNESS = {
+    "params_r": ("r", lambda r: ModelParams(r, 0.5)),
+    "override_r": ("override r", lambda r: _PARAMS.smoothness(r)),
+    "sobolev_r": ("r", lambda r: make_sobolev_target(r, 1.0, 8)),
+    "piecewise_r_l": ("r_l", lambda r: make_piecewise_target(
+        r, 0.5, 1.0, 1.0, build_grid_partition((0.0, 1.0), 2), (0,), 8)),
+    "piecewise_r_h": ("r_h", lambda r: make_piecewise_target(
+        0.1, r, 1.0, 1.0, build_grid_partition((0.0, 1.0), 2), (0,), 8)),
+}
+
+
+@pytest.mark.parametrize("value", ["0.3", [0.3]])
+@pytest.mark.parametrize("entry", sorted(_SMOOTHNESS))
+def test_smoothness_must_be_a_real_in_half_interval(entry, value):
+    name, call = _SMOOTHNESS[entry]
+    message = rf"{name}={re.escape(repr(value))} must lie in \(0, 1/2\]"
+    with pytest.raises(ContractError, match=message):
+        call(value)
+    for good in (0.3, np.float32(0.5)):
+        call(good)
+
+
+@pytest.mark.parametrize("seed", [2.7, math.nan, "a", -1])
+def test_seeds_numpy_cannot_take_raise_contract_errors(seed):
+    x = gen_inputs(TASK, 12, 0)
+    for draw in (
+        lambda: sample_landmarks(12, 3, seed),
+        lambda: fit_distributed_average(_X, np.sin(_X), 2, 1e-2, brownian(), seed),
+        lambda: gen_inputs(TASK, 12, seed),
+        lambda: sample_labels(TASK, x, seed),
+    ):
+        with pytest.raises(ContractError, match=f"seed {seed!r} is not a valid seed"):
+            draw()
+
+
+@pytest.mark.parametrize("seed", [7, [7, 3], np.random.SeedSequence(7)])
+def test_int_list_and_seed_sequence_seeds_draw_as_numpy_does(seed):
+    _, lo, hi = TASK.marginal
+    np.testing.assert_array_equal(
+        gen_inputs(TASK, 12, seed), lo + (hi - lo) * np.random.default_rng(seed).random(12))
+    np.testing.assert_array_equal(
+        sample_landmarks(12, 3, seed),
+        np.random.default_rng(seed).choice(12, size=3, replace=False))
+    np.testing.assert_array_equal(
+        sample_labels(TASK, _X, seed),
+        TASK.target(_X) + TASK.noise.scale * np.random.default_rng(seed).standard_normal(12))
 
 
 def test_per_n_lists_override_the_schedule():
@@ -463,3 +613,22 @@ def test_timing_benchmark_scales_up():
 def test_timing_benchmark_needs_a_repeat():
     with pytest.raises(ContractError, match="repeats must be at least 1, not 0"):
         run_timing_benchmark(_config(), repeats=0)
+
+
+def test_rate_and_timing_runs_schedule_once_per_estimator_and_n(monkeypatch):
+    calls = []
+    original = harness.schedule_values
+
+    def counting(config, i):
+        calls.append(config.n_grid[i])
+        return original(config, i)
+
+    monkeypatch.setattr(harness, "schedule_values", counting)
+    cfg = _config(estimators=("krls", "nystrom"), n_grid=(16, 32), replications=3, n_test=10)
+    rows = run_rate_experiment(cfg).rows
+    assert calls == [16, 32, 16, 32] and len(rows) == 12
+    calls.clear()
+    table = run_timing_benchmark(cfg, repeats=2)
+    assert calls == [16, 32, 16, 32]
+    assert [(r.estimator, r.n) for r in table.rows] == [
+        ("krls", 16), ("krls", 32), ("nystrom", 16), ("nystrom", 32)]

@@ -222,6 +222,11 @@ def test_sum_check_validation():
         effective_dimension_sum_check([[1.0], [1.0]], [1.0, 0.0], 1.0)
 
 
+def test_sum_check_rejects_nan_weights():
+    with pytest.raises(ContractError, match="weights must be positive"):
+        effective_dimension_sum_check([[1.0], [1.0]], [1.0, math.nan], 1.0)
+
+
 def test_local_dimension_diagnostic_smoke():
     rng = np.random.default_rng(2)
     grams = []
