@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy.linalg import blas
 
-from . import kernels, synth
+from . import kernels
 from .exceptions import ContractError
 from .localized import (
     fit_distributed_average,
@@ -49,7 +49,8 @@ class ExperimentConfig:
 
     lambda, m and l follow the task's schedules at each n. A per-n list
     (``lambdas``, ``ms``, ``ls``) overrides its schedule and must match the
-    n grid in length.
+    n grid in length; a listed lambda must be positive and finite, a listed
+    count a whole number of at least 1.
     """
 
     task: SyntheticTask
@@ -84,8 +85,8 @@ class ExperimentConfig:
                 continue
             if len(vals) != len(self.n_grid):
                 raise ContractError(f"{name} must match the n grid in length")
-            cast = float if name == "lambdas" else lambda v: kernels._count(v, name)
-            object.__setattr__(self, name, tuple(map(cast, vals)))
+            check = kernels._real if name == "lambdas" else kernels._count
+            object.__setattr__(self, name, tuple(check(v, name) for v in vals))
         if self.experiment not in ("rate", "improved_bound"):
             raise ContractError(f"unknown experiment kind {self.experiment!r}")
 
@@ -160,7 +161,7 @@ def schedule_values(config: ExperimentConfig, i: int):
     lam = config.lambdas[i] if config.lambdas else lambda_schedule(n, params)
     m = config.ms[i] if config.ms else m_schedule(n, params)
     l = config.ls[i] if config.ls else l_schedule(n, params)
-    return kernels._real(lam, "scheduled lambda"), m, l
+    return lam, m, l
 
 
 def _marginal_partition(task: SyntheticTask, m: int):
@@ -300,21 +301,19 @@ def run_improved_bound_experiment(config: ExperimentConfig):
         raise ContractError("improved-bound runs set lambda per arm; drop lambdas")
     if config.estimators != ("localized",):
         raise ContractError('improved-bound runs fit only estimators=("localized",)')
-    target = config.task.target
-    if not isinstance(target, synth.PiecewiseTarget):
-        raise ContractError("improved-bound runs need a piecewise target")
     mass, bound, ok = config.task.exceptional_mass_bound(config.n_grid[-1])
     if not ok:
         raise ContractError(
             f"exceptional mass {mass:.4g} exceeds the allowed bound {bound:.4g} "
             f"at n={config.n_grid[-1]}"
         )
-    params = config.task.model_params()
+    params, target = config.task.model_params(), config.task.target
 
     def arm(r):
-        lambdas = [lambda_schedule(n, params, r=r) for n in config.n_grid]
+        arm_params = replace(params, r=r)
+        lambdas = [lambda_schedule(n, arm_params) for n in config.n_grid]
         report = run_rate_experiment(replace(config, lambdas=lambdas))
-        return replace(report, theoretical_exponent=rate_exponent(params, r=r))
+        return replace(report, theoretical_exponent=rate_exponent(arm_params))
 
     return arm(target.r_l), arm(target.r_h)
 

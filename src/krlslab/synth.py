@@ -34,7 +34,7 @@ from . import kernels, partition as partition_mod
 from .exceptions import ContractError, EmptyInputError
 from .kernels import KernelSpec, brownian
 from .partition import Partition, grid_cell_bounds
-from .theory import ModelParams, _smoothness, lambda_schedule
+from .theory import ModelParams, _exponent, lambda_schedule
 
 COEFF_SLACK = 0.51  # extra k^{-slack} decay so the defining series converges strictly
 DEFAULT_K_TRUNC = 200
@@ -143,7 +143,7 @@ def make_sobolev_target(
     keeps the defining series strictly summable, and a is chosen so that
     sum c_k^2 mu_k^{-2r} = R^2 exactly.
     """
-    r, R = _smoothness(r, "r"), kernels._real(R, "R")
+    r, R = _exponent(r, "r"), kernels._real(R, "R")
     coeffs, tail = _expansion(r, R, kernels._count(k_trunc, "k_trunc"))
     return SobolevTarget(r=r, R=R, coefficients=coeffs, truncation_sup_error=tail)
 
@@ -217,7 +217,7 @@ def make_piecewise_target(
     """Two-smoothness target: exponent r_l on the cells in ``exceptional``,
     r_h on the rest, each piece built natively in its cell's local expansion.
     """
-    r_l, r_h = _smoothness(r_l, "r_l"), _smoothness(r_h, "r_h")
+    r_l, r_h = _exponent(r_l, "r_l"), _exponent(r_h, "r_h")
     R_l, R_h = kernels._real(R_l, "R_l"), kernels._real(R_h, "R_h")
     k_trunc = kernels._count(k_trunc, "k_trunc")
     if part.scheme != "grid" or part.dim != 1:
@@ -280,8 +280,7 @@ class SyntheticTask:
         if kind != "uniform" or not float(lo) < float(hi):
             raise ContractError(f"unsupported marginal {self.marginal!r}")
         object.__setattr__(self, "marginal", (kind, float(lo), float(hi)))
-        if not 0 < self.gamma <= 1:
-            raise ContractError("gamma must lie in (0, 1]")
+        object.__setattr__(self, "gamma", _exponent(self.gamma, "gamma", high=1))
         if isinstance(self.target, SobolevTarget):
             got = self.target.source_sum()
             want = self.target.R**2
@@ -303,25 +302,23 @@ class SyntheticTask:
                 raise ContractError("a cell's source sum misses its bound")
 
     def model_params(self) -> ModelParams:
-        """Schedule inputs implied by the task."""
-        sigma = self.noise.scale if self.noise.scale > 0 else 1.0
-        m_bound = self.noise.scale if self.noise.kind == "uniform_bounded" else sigma
-        if isinstance(self.target, PiecewiseTarget):
-            return ModelParams(
-                r=self.target.r_h,
-                gamma=self.gamma,
-                R=max(self.target.R_l, self.target.R_h),
-                sigma=sigma,
-                M=max(m_bound, 1e-12),
-                r_l=self.target.r_l,
-                r_h=self.target.r_h,
+        """Schedule inputs implied by the task.
+
+        A piecewise target schedules at its high smoothness r_h and the
+        larger of its norms, and needs r_l < r_h. A noiseless task
+        schedules with sigma = 1.
+        """
+        target = self.target
+        piecewise = isinstance(target, PiecewiseTarget)
+        if piecewise and not target.r_l < target.r_h:
+            raise ContractError(
+                f"piecewise targets need r_l < r_h, got r_l={target.r_l}, r_h={target.r_h}"
             )
         return ModelParams(
-            r=self.target.r,
+            r=target.r_h if piecewise else target.r,
             gamma=self.gamma,
-            R=self.target.R,
-            sigma=sigma,
-            M=max(m_bound, 1e-12),
+            R=max(target.R_l, target.R_h) if piecewise else target.R,
+            sigma=self.noise.scale if self.noise.scale > 0 else 1.0,
         )
 
     def exceptional_mass_bound(self, n_max: int) -> tuple:
@@ -332,8 +329,7 @@ class SyntheticTask:
         """
         if not isinstance(self.target, PiecewiseTarget):
             raise ContractError("exceptional mass is defined for piecewise targets")
-        params = self.model_params()
-        lam = lambda_schedule(n_max, params, r=self.target.r_h)
+        lam = lambda_schedule(n_max, self.model_params())
         bound = (self.target.R_h / self.target.R_l) ** 2 * lam ** (
             2.0 * (self.target.r_h - self.target.r_l)
         )

@@ -2,8 +2,8 @@
 
 Schedules map the sample size n to regularization strength, cell count,
 and landmark count for a problem described by :class:`ModelParams`
-(smoothness r, capacity gamma, norms R, sigma, M). All constant factors
-are exactly 1, so slope measurements downstream are constant-free.
+(smoothness r, capacity gamma, norm R, noise scale sigma). All constant
+factors are exactly 1, so slope measurements downstream are constant-free.
 
 Diagnostics: empirical effective dimension of a Gram matrix, the
 finite-sample inflation factor b_quantity, a sufficient-n calculator, and
@@ -27,47 +27,29 @@ class ModelParams:
     """Regularity and noise description of a learning problem.
 
     r is the smoothness exponent, gamma the capacity exponent (eigenvalue
-    decay), R the target norm bound, sigma and M the noise scales. For
-    two-smoothness problems the pair (r_l, r_h) brackets the rough and
-    smooth regimes; r then plays no role in scheduling.
+    decay), R the target norm bound and sigma the noise scale. Every
+    schedule reads r; a schedule at another smoothness takes
+    ``dataclasses.replace(params, r=...)``, which checks r again.
     """
 
     r: float
     gamma: float
     R: float = 1.0
     sigma: float = 1.0
-    M: float = 1.0
-    r_l: float | None = None
-    r_h: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _smoothness(self.r, "r"))
-        if not 0 < self.gamma <= 1:
-            raise ContractError(f"gamma={self.gamma} must lie in (0, 1]")
-        for name in ("R", "sigma", "M"):
+        object.__setattr__(self, "r", _exponent(self.r, "r"))
+        object.__setattr__(self, "gamma", _exponent(self.gamma, "gamma", high=1))
+        for name in ("R", "sigma"):
             object.__setattr__(self, name, kernels._real(getattr(self, name), name))
-        if (self.r_l is None) != (self.r_h is None):
-            raise ContractError("r_l and r_h must be given together")
-        if self.r_l is not None:
-            if not 0 < self.r_l < self.r_h <= 0.5:
-                raise ContractError(
-                    f"need 0 < r_l < r_h <= 1/2, got r_l={self.r_l}, r_h={self.r_h}"
-                )
-
-    def smoothness(self, r: float | None = None) -> float:
-        """Scheduling smoothness: explicit r wins, else r_h when present, else r."""
-        if r is not None:
-            return _smoothness(r, "override r")
-        if self.r_h is not None:
-            return self.r_h
-        return self.r
 
 
-def _smoothness(r, name: str) -> float:
-    """r as a float if it is a real number in (0, 1/2]."""
-    if isinstance(r, numbers.Real) and 0 < r <= 0.5:
-        return float(r)
-    raise ContractError(f"{name}={r!r} must lie in (0, 1/2]")
+def _exponent(value, name: str, high: float = 0.5) -> float:
+    """value as a float if it is a real number in (0, high]."""
+    if isinstance(value, numbers.Real) and 0 < value <= high:
+        return float(value)
+    bound = "1/2" if high == 0.5 else f"{high:g}"
+    raise ContractError(f"{name}={value!r} must lie in (0, {bound}]")
 
 
 def _power(n: int, num: float, den: float) -> float:
@@ -87,19 +69,15 @@ def _snap(x: float, rounding) -> int:
     return rounding(x)
 
 
-def lambda_schedule(
-    n: int, params: ModelParams, r: float | None = None, noise_scaled: bool = False
-) -> float:
+def lambda_schedule(n: int, params: ModelParams, noise_scaled: bool = False) -> float:
     """Regularization strength n^{-1/(2r+1+gamma)}, capped at 1.
 
     With ``noise_scaled`` the base 1/n becomes sigma^2/(R^2 n), a variant
     useful when the noise-to-signal ratio is far from 1; the default is the
-    pure-n form. The optional r overrides the schedule smoothness (used to
-    compare schedules on two-smoothness problems).
+    pure-n form.
     """
     n = kernels._count(n, "n")
-    rr = params.smoothness(r)
-    den = 2 * rr + 1 + params.gamma
+    den = 2 * params.r + 1 + params.gamma
     value = _power(n, -1.0, den)
     if noise_scaled:
         # factored so sigma = R reduces exactly to the pure-n schedule
@@ -107,34 +85,31 @@ def lambda_schedule(
     return min(1.0, value)
 
 
-def m_schedule(n: int, params: ModelParams, r: float | None = None) -> int:
+def m_schedule(n: int, params: ModelParams) -> int:
     """Cell count floor(n^{2r/(2r+1+gamma)}), at least 1.
 
     Powers within 1e-9 of an integer count as exact before flooring, so
     grid sizes like 1024^0.4 = 16 do not slip to 15 through roundoff.
     """
-    n = kernels._count(n, "n")
-    rr = params.smoothness(r)
-    return max(1, _snap(_power(n, 2 * rr, 2 * rr + 1 + params.gamma), math.floor))
+    n, r = kernels._count(n, "n"), params.r
+    return max(1, _snap(_power(n, 2 * r, 2 * r + 1 + params.gamma), math.floor))
 
 
-def l_schedule(n: int, params: ModelParams, r: float | None = None) -> int:
+def l_schedule(n: int, params: ModelParams) -> int:
     """Landmark count ceil(n^{(1+gamma)/(2r+1+gamma)}), with the same
     near-integer snapping as m_schedule before the ceiling."""
     n = kernels._count(n, "n")
-    rr = params.smoothness(r)
-    exact = _power(n, 1 + params.gamma, 2 * rr + 1 + params.gamma)
+    exact = _power(n, 1 + params.gamma, 2 * params.r + 1 + params.gamma)
     return max(1, _snap(exact, math.ceil))
 
 
-def rate_exponent(params: ModelParams, r: float | None = None) -> float:
+def rate_exponent(params: ModelParams) -> float:
     """Predicted MISE decay exponent (2r+1)/(2r+1+gamma).
 
     The expected log-log slope of MISE against n is the negative of this.
     Strictly decreasing in gamma at fixed r.
     """
-    rr = params.smoothness(r)
-    return (2 * rr + 1) / (2 * rr + 1 + params.gamma)
+    return (2 * params.r + 1) / (2 * params.r + 1 + params.gamma)
 
 
 def effective_dimension(k: np.ndarray, lam: float, kappa_sq: float = 1.0) -> float:
@@ -175,16 +150,20 @@ def n0_sufficient(m: int, params: ModelParams, p_max: float, c_gamma: float) -> 
     (4m)^{(2r+gamma+1)/(2r)} * max((R/sigma)^{2/(2r+gamma)},
     (p_max*C_gamma)^{(2r+gamma+1)/(2r)} * (R/sigma)^{2(gamma+1)/(2r)}).
     Doubling m multiplies the result by 2^{(2r+gamma+1)/(2r)} before
-    rounding; R = sigma makes it independent of both.
+    rounding; R = sigma makes it independent of both. A bound beyond the
+    float range raises ContractError.
     """
     m = kernels._count(m, "m")
     p_max, c_gamma = kernels._real(p_max, "p_max"), kernels._real(c_gamma, "C_gamma")
-    r, g = params.smoothness(), params.gamma
+    r, g = params.r, params.gamma
     expo = (2 * r + g + 1) / (2 * r)
     ratio = params.R / params.sigma
-    first = ratio ** (2 / (2 * r + g))
-    second = (p_max * c_gamma) ** expo * ratio ** (2 * (g + 1) / (2 * r))
-    return math.ceil((4 * m) ** expo * max(first, second))
+    try:
+        first = ratio ** (2 / (2 * r + g))
+        second = (p_max * c_gamma) ** expo * ratio ** (2 * (g + 1) / (2 * r))
+        return math.ceil((4 * m) ** expo * max(first, second))
+    except OverflowError:
+        raise ContractError(f"the sufficient n for m={m} exceeds the float range") from None
 
 
 def effective_dimension_sum_check(local_spectra, p, lam: float):

@@ -16,6 +16,7 @@ from krlslab import (
     NoiseSpec,
     RateReport,
     Row,
+    SyntheticTask,
     b_quantity,
     brownian,
     build_grid_partition,
@@ -112,17 +113,14 @@ def test_schedule_values_auto_and_explicit():
     assert (lam2, l2) == (lam, l)  # untouched entries stay on the schedule
     assert m2 == 5
 
-    bad = _config(n_grid=(1024,), lambdas=(0.0,))
     with pytest.raises(ContractError):
-        schedule_values(bad, 0)
+        _config(n_grid=(1024,), lambdas=(0.0,))
 
 
-@pytest.mark.parametrize("bad", [math.inf, 0.0, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, 0.0, math.nan, -1.0, "0.1"])
 def test_listed_lambda_must_be_positive_and_finite(bad):
-    cfg = _config(n_grid=(64,), lambdas=(bad,))
-    for run in (lambda: schedule_values(cfg, 0), lambda: run_rate_experiment(cfg)):
-        with pytest.raises(ContractError, match="scheduled lambda must be positive and finite"):
-            run()
+    with pytest.raises(ContractError, match="lambdas must be positive and finite"):
+        _config(n_grid=(64,), lambdas=(bad,))
 
 
 _X = np.linspace(0.05, 0.95, 12)
@@ -192,7 +190,6 @@ _REALS = {
     "b_quantity_lam": ("lam", False, lambda v: b_quantity(10, v, 1.0)),
     "params_R": ("R", False, lambda v: ModelParams(0.5, 0.5, R=v)),
     "params_sigma": ("sigma", False, lambda v: ModelParams(0.5, 0.5, sigma=v)),
-    "params_M": ("M", False, lambda v: ModelParams(0.5, 0.5, M=v)),
     "sobolev_R": ("R", False, lambda v: make_sobolev_target(0.5, v, 8)),
     "piecewise_R_l": ("R_l", False, lambda v: make_piecewise_target(
         0.25, 0.5, v, 1.0, build_grid_partition((0.0, 1.0), 2), (0,), 8)),
@@ -229,7 +226,7 @@ def test_reals_must_be_finite_and_positive(entry, value):
 
 _SMOOTHNESS = {
     "params_r": ("r", lambda r: ModelParams(r, 0.5)),
-    "override_r": ("override r", lambda r: _PARAMS.smoothness(r)),
+    "override_r": ("r", lambda r: dataclasses.replace(_PARAMS, r=r)),
     "sobolev_r": ("r", lambda r: make_sobolev_target(r, 1.0, 8)),
     "piecewise_r_l": ("r_l", lambda r: make_piecewise_target(
         r, 0.5, 1.0, 1.0, build_grid_partition((0.0, 1.0), 2), (0,), 8)),
@@ -247,6 +244,23 @@ def test_smoothness_must_be_a_real_in_half_interval(entry, value):
         call(value)
     for good in (0.3, np.float32(0.5)):
         call(good)
+
+
+_CAPACITY = {
+    "params_gamma": lambda g: ModelParams(0.5, g),
+    "task_gamma": lambda g: SyntheticTask(TASK.target, TASK.noise, gamma=g),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", math.nan, 0.0, 1.5])
+@pytest.mark.parametrize("entry", sorted(_CAPACITY))
+def test_capacity_must_be_a_real_in_unit_interval(entry, value):
+    call = _CAPACITY[entry]
+    message = rf"gamma={re.escape(repr(value))} must lie in \(0, 1\]"
+    with pytest.raises(ContractError, match=message):
+        call(value)
+    for good in (1, np.float32(0.5)):
+        assert type(call(good).gamma) is float
 
 
 @pytest.mark.parametrize("seed", [2.7, math.nan, "a", -1])
@@ -407,8 +421,8 @@ def test_improved_bound_arms_share_everything_but_lambda():
     params = task.model_params()
     for a, b in zip(rough.rows, smooth.rows):
         assert (a.n, a.rep, a.m) == (b.n, b.rep, b.m)
-        assert a.lam == lambda_schedule(a.n, params, r=0.1)
-        assert b.lam == lambda_schedule(b.n, params, r=0.5)
+        assert a.lam == lambda_schedule(a.n, dataclasses.replace(params, r=0.1))
+        assert b.lam == lambda_schedule(b.n, dataclasses.replace(params, r=0.5))
         assert a.lam != b.lam
     contrast = paired_contrast(rough, smooth)
     assert [c["n"] for c in contrast] == [256, 512]
@@ -592,12 +606,13 @@ def test_improved_bound_arms_are_listed_lambda_rate_runs():
     )
     params = task.model_params()
     for arm, r in zip(run_improved_bound_experiment(cfg), (0.1, 0.5)):
-        lambdas = [lambda_schedule(n, params, r=r) for n in cfg.n_grid]
+        arm_params = dataclasses.replace(params, r=r)
+        lambdas = [lambda_schedule(n, arm_params) for n in cfg.n_grid]
         listed = run_rate_experiment(dataclasses.replace(cfg, lambdas=lambdas))
         untimed = [dataclasses.replace(row, fit_seconds=0.0) for row in arm.rows]
         assert untimed == [dataclasses.replace(row, fit_seconds=0.0) for row in listed.rows]
         assert arm.slopes == listed.slopes
-        assert arm.theoretical_exponent == rate_exponent(params, r=r)
+        assert arm.theoretical_exponent == rate_exponent(arm_params)
 
 
 def test_timing_benchmark_scales_up():

@@ -301,11 +301,10 @@ def test_model_params_mapping():
     t1 = sobolev_task(0.4, 2.0, NoiseSpec("gaussian", 0.3))
     p1 = t1.model_params()
     assert (p1.r, p1.R, p1.sigma, p1.gamma) == (0.4, 2.0, 0.3, 0.5)
-    assert p1.r_l is None
 
     t2 = piecewise_task(0.1, 0.5, 0.25, 1.0, 16, {7}, NoiseSpec("gaussian", 3.0))
     p2 = t2.model_params()
-    assert (p2.r, p2.r_l, p2.r_h) == (0.5, 0.1, 0.5)
+    assert p2.r == 0.5  # a piecewise target schedules at r_h
     assert p2.R == 1.0 and p2.sigma == 3.0
 
     # noiseless tasks fall back to a unit sigma for scheduling
@@ -313,14 +312,24 @@ def test_model_params_mapping():
     assert t3.model_params().sigma == 1.0
 
     t4 = sobolev_task(0.5, 1.0, NoiseSpec("uniform_bounded", 0.7))
-    assert t4.model_params().M == 0.7
+    assert t4.model_params().sigma == 0.7
+
+
+@pytest.mark.parametrize("r_l, r_h", [(0.3, 0.3), (0.4, 0.2)])
+def test_piecewise_model_params_need_r_l_below_r_h(r_l, r_h):
+    # each smoothness is valid on its own; the pair is checked where it schedules
+    task = piecewise_task(r_l, r_h, 1.0, 1.0, 4, {1}, NoiseSpec("gaussian", 1.0))
+    message = rf"piecewise targets need r_l < r_h, got r_l={r_l}, r_h={r_h}"
+    for call in (task.model_params, lambda: task.exceptional_mass_bound(64)):
+        with pytest.raises(ContractError, match=message):
+            call()
 
 
 def test_exceptional_mass_bound():
     task = piecewise_task(0.1, 0.5, 0.25, 1.0, 16, {7}, NoiseSpec("gaussian", 3.0))
     mass, bound, ok = task.exceptional_mass_bound(8192)
     assert mass == 0.0625
-    lam = lambda_schedule(8192, task.model_params(), r=0.5)
+    lam = lambda_schedule(8192, task.model_params())
     assert math.isclose(bound, 16.0 * lam**0.8, rel_tol=1e-12)
     assert ok
 

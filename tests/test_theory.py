@@ -1,5 +1,7 @@
 """Schedules and spectral diagnostics."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -68,15 +70,18 @@ def test_schedule_monotonicity():
 
 
 def test_smoothness_resolution_order():
-    pair = ModelParams(r=0.5, gamma=0.5, r_l=0.1, r_h=0.4)
-    assert pair.smoothness() == 0.4  # r_h beats r when the pair is present
-    assert pair.smoothness(r=0.2) == 0.2  # explicit override beats both
-    assert HALF.smoothness() == 0.5
-    with pytest.raises(ContractError):
-        pair.smoothness(r=0.6)
-    # override threads through the schedules
-    assert lambda_schedule(1024, HALF, r=0.5) == lambda_schedule(1024, HALF)
-    assert m_schedule(1024, pair, r=0.5) == 16
+    # every schedule reads params.r; another smoothness is a replaced record
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["r", "gamma", "R", "sigma"]
+    for schedule in (lambda_schedule, m_schedule, l_schedule, rate_exponent):
+        assert "r" not in inspect.signature(schedule).parameters
+    pair = ModelParams(r=0.4, gamma=0.5)
+    assert dataclasses.replace(pair, r=0.2).r == 0.2
+    assert HALF.r == 0.5
+    with pytest.raises(ContractError, match=r"r=0\.6 must lie in \(0, 1/2\]"):
+        dataclasses.replace(pair, r=0.6)
+    # the replaced r threads through the schedules
+    assert lambda_schedule(1024, dataclasses.replace(HALF, r=0.5)) == lambda_schedule(1024, HALF)
+    assert m_schedule(1024, dataclasses.replace(pair, r=0.5)) == 16
 
 
 def test_noise_scaled_lambda():
@@ -105,10 +110,6 @@ def test_params_validation():
         ModelParams(r=0.5, gamma=1.5)
     with pytest.raises(ContractError):
         ModelParams(r=0.5, gamma=0.5, R=0.0)
-    with pytest.raises(ContractError):
-        ModelParams(r=0.5, gamma=0.5, r_l=0.2, r_h=None)
-    with pytest.raises(ContractError):
-        ModelParams(r=0.5, gamma=0.5, r_l=0.4, r_h=0.3)
     with pytest.raises(ContractError):
         lambda_schedule(0, HALF)
 
@@ -182,6 +183,16 @@ def test_n0_sufficient_values():
         n0_sufficient(0, p, 1.0, 1.0)
     with pytest.raises(ContractError):
         n0_sufficient(1, p, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("m, params, p_max", [
+    (1, HALF, 1e300),  # a power out of range
+    (1, ModelParams(0.5, 0.5, R=1e300, sigma=1e-300), 1.0),  # an infinite product
+    (10**200, HALF, 1.0),
+], ids=["p_max", "ratio", "m"])
+def test_n0_sufficient_beyond_the_float_range_is_a_contract_error(m, params, p_max):
+    with pytest.raises(ContractError, match="exceeds the float range"):
+        n0_sufficient(m, params, p_max, 1.0)
 
 
 def test_sum_check_hand_example():
