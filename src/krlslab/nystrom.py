@@ -160,8 +160,8 @@ def _min_nystrom_solve(t: np.ndarray, y: np.ndarray, z: np.ndarray, shift: float
     z = z[landmark_order]
     order = np.argsort(t, kind="stable")
     t, y = t[order], y[order]
-    rhs = krls._sorted_min_expansion(z, t, y)
     k = np.searchsorted(t, z, side="right")
+    rhs = krls._sorted_min_expansion(z, k, t, y)
     s1 = np.concatenate(([0.0], np.cumsum(t)))[k]
     s2 = np.concatenate(([0.0], np.cumsum(t * t)))[k]
     u = s1 + z * (n - k)

@@ -389,7 +389,8 @@ def sample_labels(task: SyntheticTask, x, seed) -> np.ndarray:
 
 
 def _call_predictor(predictor, xs):
-    """The predictor's values at xs, exactly one per point, as a flat array."""
+    """The predictor's values at xs, exactly one finite value per point, as a
+    flat array."""
     call = predictor.predict if hasattr(predictor, "predict") else predictor
     pred = np.asarray(call(xs), dtype=float)
     if pred.size != xs.shape[0]:
@@ -397,7 +398,29 @@ def _call_predictor(predictor, xs):
             f"predictor returned shape {pred.shape}, want ({xs.shape[0]},): "
             "one value per test point"
         )
-    return pred.reshape(-1)
+    pred = pred.reshape(-1)
+    finite = np.isfinite(pred)
+    if not finite.all():
+        raise ContractError(
+            f"predictor returned non-finite values at "
+            f"{pred.size - np.count_nonzero(finite)} of {pred.size} test points"
+        )
+    return pred
+
+
+def _test_error(predictor, task: SyntheticTask, n_test: int, seed):
+    """(xs, prediction - truth) on the task's n_test fresh test draws, sorted.
+
+    Both scores are sums over the draw, so its order is free, and ascending
+    points make every predict cheaper: a min-kernel expansion's binary
+    searches walk forward (see ``krls``), and cell grouping and per-cell
+    gathers read contiguous runs. Each point's truth and prediction are
+    those of the unsorted draw; only the order of the final sums moves.
+    """
+    xs = gen_inputs(task, kernels._count(n_test, "n_test"), seed)
+    xs.sort()
+    truth = task.target(xs)
+    return xs, _call_predictor(predictor, xs) - truth
 
 
 def mise_estimate(predictor, task: SyntheticTask, n_test: int, seed) -> float:
@@ -406,30 +429,23 @@ def mise_estimate(predictor, task: SyntheticTask, n_test: int, seed) -> float:
     Fresh test draws come from the task marginal; the estimate is the mean
     of (prediction - truth)^2 over them.
     """
-    n_test = kernels._count(n_test, "n_test")
-    xs = gen_inputs(task, n_test, seed)
-    truth = task.target(xs)
-    pred = _call_predictor(predictor, xs)
-    diff = pred - truth
-    return float(blas.ddot(diff, diff) / n_test)
+    _, diff = _test_error(predictor, task, n_test, seed)
+    return float(blas.ddot(diff, diff) / diff.shape[0])
 
 
 def cellwise_mse(predictor, task: SyntheticTask, part: Partition, n_test: int, seed):
     """Split the test error by cell.
 
-    Returns (global_mse, per_cell_mse, per_cell_counts). The weighted sum
-    sum_j (count_j / n_test) * mse_j reproduces the global value exactly
-    (it is the same sample, merely grouped).
+    Returns (global_mse, per_cell_mse, per_cell_counts). global_mse is
+    ``mise_estimate`` on the same arguments, bit for bit. The weighted sum
+    sum_j (count_j / n_test) * mse_j regroups the same sample, so it
+    reproduces the global value to rounding, not bitwise.
     """
-    n_test = kernels._count(n_test, "n_test")
-    xs = gen_inputs(task, n_test, seed)
-    truth = task.target(xs)
-    pred = _call_predictor(predictor, xs)
-    sq = (pred - truth) ** 2
+    xs, diff = _test_error(predictor, task, n_test, seed)
     labels = partition_mod.assign(part, xs)
     counts = np.bincount(labels, minlength=part.m)
-    sums = np.bincount(labels, weights=sq, minlength=part.m)
+    sums = np.bincount(labels, weights=diff * diff, minlength=part.m)
     per_cell = np.divide(
         sums, counts, out=np.zeros(part.m), where=counts > 0
     )
-    return float(np.mean(sq)), per_cell, counts
+    return float(blas.ddot(diff, diff) / diff.shape[0]), per_cell, counts

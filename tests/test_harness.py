@@ -509,6 +509,20 @@ def test_failed_fit_taints_row_but_run_continues(monkeypatch):
     assert report.slopes["krls"] is None
 
 
+def test_non_finite_predictions_fail_the_row(monkeypatch):
+    real = harness.fit_estimator
+
+    def nan_model(*args):
+        _, *rest = real(*args)
+        return (lambda xs: np.full(len(xs), np.nan)), *rest
+
+    monkeypatch.setattr(harness, "fit_estimator", nan_model)
+    report = run_rate_experiment(_config(n_grid=(16, 32)))
+    want = "error:ContractError: predictor returned non-finite values at 500 of 500 test points"
+    assert [r.warning for r in report.rows] == [want, want]
+    assert all(math.isnan(r.mise) and r.fit_seconds > 0 for r in report.rows)
+
+
 def test_failed_row_message_survives_the_report(tmp_path, monkeypatch):
     message = 'cell 3: pivot 1e-18, "singular" block'
 

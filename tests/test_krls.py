@@ -367,6 +367,35 @@ def test_small_refined_fit_matches_float64_solve(n, monkeypatch):
     assert np.linalg.norm(model.alpha - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("n", [krls._FLOAT32_MIN_N, 1025, 4096])
+def test_refined_products_match_min_expansion_bitwise(n, monkeypatch):
+    # the refinement sorts and looks up the training points once per fit;
+    # on points with many ties every product, and so alpha, is bitwise that
+    # of _min_expansion(t, t, v), which sorts and searches on every call
+    rng = np.random.default_rng(23)
+    x = np.round(rng.uniform(0.9, 1.0, n), 3)
+    y = np.sin(6 * x) + 0.15 * rng.standard_normal(n)
+    lam = n ** -0.4
+    real = linalg._cholesky_solve
+    products = []
+
+    def checking(k, shift, b, apply):
+        def checked(v):
+            got = apply(v)
+            np.testing.assert_array_equal(got, krls._min_expansion(x, x, v))
+            products.append(got)
+            return got
+
+        return real(k, shift, b, checked if k.dtype == np.float32 else apply)
+
+    monkeypatch.setattr(linalg, "_cholesky_solve", checking)
+    model = fit_krls(x, y, lam, brownian())
+    assert len(products) >= 2
+    reference = real(krls._upper_min_gram32(x), lam * n, y,
+                     lambda v: krls._min_expansion(x, x, v))
+    np.testing.assert_array_equal(model.alpha, reference)
+
+
 def test_fit_below_the_crossover_stays_float64(monkeypatch):
     n = krls._FLOAT32_MIN_N - 1
     rng = np.random.default_rng(22)

@@ -12,8 +12,11 @@ from krlslab import (
     EmptyInputError,
     NoiseSpec,
     SyntheticTask,
+    brownian,
     build_grid_partition,
     cellwise_mse,
+    fit_krls,
+    fit_localized,
     gen_inputs,
     lambda_schedule,
     make_piecewise_target,
@@ -254,20 +257,60 @@ def test_mise_exact_cases():
 
 
 @pytest.mark.parametrize(
-    "bad, got",
-    [(lambda xs: np.zeros(3)[:1], r"\(1,\)"), (lambda xs: 0.0, r"\(\)"),
-     (lambda xs: np.zeros(7), r"\(7,\)")],
-    ids=["one-value", "scalar", "seven-values"],
+    "bad, want",
+    [(lambda xs: np.zeros(3)[:1], r"shape \(1,\), want \(100,\)"),
+     (lambda xs: 0.0, r"shape \(\), want \(100,\)"),
+     (lambda xs: np.zeros(7), r"shape \(7,\), want \(100,\)"),
+     (lambda xs: np.r_[np.nan, np.zeros(98), -np.inf], "non-finite values at 2 of 100 test points")],
+    ids=["one-value", "scalar", "seven-values", "non-finite"],
 )
-def test_scores_need_one_prediction_per_test_point(bad, got):
-    # a short output must not broadcast into an error value
+def test_scores_need_one_prediction_per_test_point(bad, want):
+    # a short output must not broadcast into an error value, and a NaN must
+    # not come back as the error value
     task = sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.1))
     part = build_grid_partition((0.0, 1.0), 5)
-    want = rf"shape {got}, want \(100,\)"
     with pytest.raises(ContractError, match=want):
         mise_estimate(bad, task, 100, 0)
     with pytest.raises(ContractError, match=want):
         cellwise_mse(bad, task, part, 100, 0)
+
+
+def test_scores_predict_on_the_sorted_test_draw():
+    task = sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.1))
+    part = build_grid_partition((0.0, 1.0), 5)
+    seen = []
+
+    def recording(xs):
+        seen.append(xs.copy())
+        return np.zeros(len(xs))
+
+    mise_estimate(recording, task, 500, seed=4)
+    cellwise_mse(recording, task, part, 500, seed=4)
+    draw = np.sort(gen_inputs(task, 500, seed=4))
+    assert len(seen) == 2
+    for xs in seen:
+        assert np.all(np.diff(xs) >= 0)
+        np.testing.assert_array_equal(xs, draw)
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [lambda x, y: fit_krls(x, y, 0.01, brownian()),
+     lambda x, y: fit_localized(x, y, build_grid_partition((0.0, 1.0), 8), 0.01, brownian())],
+    ids=["krls", "localized"],
+)
+def test_sorted_scores_match_the_unsorted_draw(fit):
+    # the sort moves only the order of the final sums
+    task = sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.15))
+    x = gen_inputs(task, 512, seed=1)
+    model = fit(x, sample_labels(task, x, seed=2))
+    xs = gen_inputs(task, 20000, seed=3)
+    diff = model.predict(xs) - task.target(xs)
+    want = float(np.mean(diff * diff))
+    got = mise_estimate(model, task, 20000, seed=3)
+    assert abs(got - want) <= 1e-12 * want
+    part = build_grid_partition((0.0, 1.0), 8)
+    assert cellwise_mse(model, task, part, 20000, seed=3)[0] == got
 
 
 def test_mise_zero_predictor_matches_second_moment():
@@ -343,6 +386,7 @@ def test_cellwise_mse_recombines():
     part = build_grid_partition((0.0, 1.0), 5)
     predictor = lambda xs: np.zeros(len(xs))
     glob, per_cell, counts = cellwise_mse(predictor, task, part, 3000, seed=12)
+    assert glob == mise_estimate(predictor, task, 3000, seed=12)
     assert counts.sum() == 3000
     np.testing.assert_allclose(np.sum(per_cell * counts) / 3000, glob, rtol=1e-12)
     # the truth has zero error in every cell
