@@ -51,13 +51,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ContractError(f"unknown kernel family {self.family!r}")
-        dom = tuple((float(lo), float(hi)) for lo, hi in self.domain)
+        dom = tuple(_interval(pair, "domain interval") for pair in self.domain)
         object.__setattr__(self, "domain", dom)
         if not dom:
             raise ContractError("domain needs at least one coordinate")
-        for lo, hi in dom:
-            if not lo < hi:
-                raise ContractError(f"degenerate domain interval ({lo}, {hi})")
         if self.family in ("gaussian", "laplacian"):
             object.__setattr__(self, "bandwidth", _real(self.bandwidth, "bandwidth"))
         if self.family == "polynomial":
@@ -148,14 +145,23 @@ def _as_data(x, y, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, y
 
 
+def _number(value):
+    """value as the entry checks read it: a 0-d array as its value, and a
+    bool, which is not a number, as None."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value.item()
+    return None if isinstance(value, (bool, np.bool_)) else value
+
+
 def _count(value, name: str, low: int = 1) -> int:
     """value as an int if it is a whole number of at least ``low``, numpy
-    integers and integral floats included."""
+    integers, 0-d arrays and integral floats included, bools not."""
+    number = _number(value)
     try:
-        count = int(value)
+        count = int(number)
     except (TypeError, ValueError, OverflowError):
         count = None
-    if count is None or count != value:
+    if count is None or count != number:
         raise ContractError(f"{name} must be a whole number, got {value!r}")
     if count < low:
         least = "non-negative" if low == 0 else f"at least {low}"
@@ -166,13 +172,25 @@ def _count(value, name: str, low: int = 1) -> int:
 def _real(value, name: str, zero: bool = False) -> float:
     """value as a float if it is a finite real number that is positive, or
     nonnegative with ``zero``; numpy scalars and 0-d arrays included, strings
-    not."""
-    real = value.item() if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    and bools not."""
+    real = _number(value)
     if isinstance(real, numbers.Real) and math.isfinite(real):
         if real > 0 or zero and real == 0:
             return float(real)
     sign = "nonnegative" if zero else "positive"
     raise ContractError(f"{name} must be {sign} and finite, got {value!r}")
+
+
+def _interval(value, name: str) -> tuple:
+    """value as a (low, high) pair of floats if it holds two finite real
+    numbers, low below high, each read as ``_real`` reads it."""
+    try:
+        lo, hi = map(_number, value)
+        if math.isfinite(lo) and math.isfinite(hi) and lo < hi:
+            return float(lo), float(hi)
+    except (TypeError, ValueError):
+        pass
+    raise ContractError(f"{name} must be a finite increasing (low, high), got {value!r}")
 
 
 def _rng(seed) -> np.random.Generator:

@@ -77,8 +77,8 @@ class KrlsModel:
 
 def _check_expansion(model, centers: str):
     """Hold a dual-form model's centers as (n, d) points inside the kernel's
-    domain and alpha as a flat, finite array with one entry per center;
-    float arrays are not copied."""
+    domain, alpha as a flat, finite array with one entry per center and lam
+    as a positive float; float arrays are not copied."""
     rows = kernels._as_points(getattr(model, centers), model.kernel.dim)
     try:
         kernels._check_in_box(rows, model.kernel.domain)
@@ -92,6 +92,7 @@ def _check_expansion(model, centers: str):
         raise ContractError("alpha must be finite")
     object.__setattr__(model, centers, rows)
     object.__setattr__(model, "alpha", alpha)
+    object.__setattr__(model, "lam", kernels._real(model.lam, "lam"))
 
 
 def _row_blocks(n: int, cols: int):

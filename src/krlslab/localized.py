@@ -56,6 +56,7 @@ class LocalizedModel:
     cell_stats: CellStats
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", kernels._real(self.lam, "lam"))
         m = self.partition.m
         if len(self.local_models) != m:
             raise ContractError(f"local_models holds {len(self.local_models)} models for {m} cells")
@@ -87,6 +88,7 @@ class DistributedAverageModel:
     seed: object
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", kernels._real(self.lam, "lam"))
         if not self.models:
             raise ContractError("models must hold at least one model")
         for i, model in enumerate(self.models):

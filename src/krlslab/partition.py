@@ -34,13 +34,10 @@ class Partition:
         if self.scheme == "grid":
             if self.box is None or self.cells_per_dim is None:
                 raise ContractError("grid partition needs box and cells_per_dim")
-            box = tuple((float(lo), float(hi)) for lo, hi in self.box)
+            box = tuple(kernels._interval(pair, "box interval") for pair in self.box)
             cells = tuple(kernels._count(c, "cells_per_dim") for c in self.cells_per_dim)
             if len(box) != len(cells):
                 raise ContractError("box and cells_per_dim disagree in dimension")
-            for lo, hi in box:
-                if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                    raise ContractError(f"box interval ({lo}, {hi}) is not finite and increasing")
             object.__setattr__(self, "box", box)
             object.__setattr__(self, "cells_per_dim", cells)
         elif self.scheme == "voronoi":
@@ -71,9 +68,9 @@ class Partition:
 def build_grid_partition(box, cells_per_dim) -> Partition:
     """Uniform grid over a box; cells_per_dim may be an int in one dimension."""
     box = tuple(box)
-    if box and np.isscalar(box[0]):
+    if box and np.ndim(box[0]) == 0:
         box = (box,)
-    if np.isscalar(cells_per_dim):
+    if np.ndim(cells_per_dim) == 0:
         cells_per_dim = (cells_per_dim,) * len(box)
     return Partition(scheme="grid", box=box, cells_per_dim=tuple(cells_per_dim))
 

@@ -4,13 +4,15 @@ One encoder and one decoder serve every record, derived from the fields of
 its dataclass. A record's keys are the field names, except ``lambda`` for
 ``lam`` and ``locals`` for ``local_models``; arrays and tuples become lists
 and floats stay Python floats, which json keeps exactly. Model and task
-records open with a format tag, and a model record names its ``type``. A
-target is stored as the keyword arguments of the task factory that builds
-it, so a piecewise target must lie on the factory's uniform grid over
-[0, 1]. A missing or unknown key, or a float, int or str field that does
-not hold a JSON number, integer or string, raises ContractError naming the
-key; every other check is the constructor's own, and a TypeError or
-ValueError it raises becomes a ContractError naming the record.
+records open with a format tag, and a model record names its ``type``; a
+task record also holds the fixed kernel and gamma of every task, checked
+like the tag. A target is stored as the keyword arguments of the task
+factory that builds it, so a piecewise target must lie on the factory's
+uniform grid over [0, 1]. A missing or unknown key, or a float, int or
+str field that does not hold a JSON number, integer or string, raises
+ContractError naming the key; every other check is the constructor's own,
+and a TypeError or ValueError it raises becomes a ContractError naming the
+record.
 """
 
 from __future__ import annotations
@@ -46,8 +48,11 @@ _MODELS = {
     "localized": LocalizedModel,
     "distributed_avg": DistributedAverageModel,
 }
+# fixed record entries, written before the fields and checked on decode
 _HEADERS = {cls: {"format": MODEL_FORMAT, "type": tag} for tag, cls in _MODELS.items()}
-_HEADERS[SyntheticTask] = {"format": TASK_FORMAT}
+_HEADERS[SyntheticTask] = {
+    "format": TASK_FORMAT, "kernel": SyntheticTask.kernel, "gamma": SyntheticTask.gamma
+}
 # A target is stored as the keyword arguments of its task factory.
 _TARGET_KINDS = {SobolevTarget: "sobolev", PiecewiseTarget: "piecewise"}
 _FACTORIES = {"sobolev": sobolev_task, "piecewise": piecewise_task}
@@ -78,7 +83,8 @@ def _encode(value):
             _KEYS.get(f.name, f.name): _encode(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
-        return {**_HEADERS.get(type(value), {}), **fields}
+        header = {key: _encode(val) for key, val in _HEADERS.get(type(value), {}).items()}
+        return {**header, **fields}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (tuple, list)):
@@ -101,12 +107,14 @@ def _check_keys(label: str, data, keys):
         raise ContractError(f"{label} record has unknown fields: {', '.join(unknown)}")
 
 
-def _untag(data, fmt: str) -> dict:
-    """The record without its format tag, which must be ``fmt``."""
-    found = data.get("format") if isinstance(data, dict) else None
-    if found != fmt:
-        raise ContractError(f"not a {fmt} record: format={found!r}")
-    return {key: val for key, val in data.items() if key != "format"}
+def _untag(data, header: dict) -> dict:
+    """The record without the entries of ``header``, each of which must hold
+    its value there as ``_encode`` writes it."""
+    for key, want in header.items():
+        found = data.get(key) if isinstance(data, dict) else None
+        if found != _encode(want):
+            raise ContractError(f"not a {header['format']} record: {key}={found!r}")
+    return {key: val for key, val in data.items() if key not in header}
 
 
 def _decode(label: str, key: str, hint, value):
@@ -172,10 +180,10 @@ def task_to_dict(task: SyntheticTask) -> dict:
 
 
 def task_from_dict(data: dict) -> SyntheticTask:
-    """Rebuild a task by its factory, then restore its kernel and gamma."""
-    body = _untag(data, TASK_FORMAT)
+    """Rebuild a task by its factory."""
+    body = _untag(data, _HEADERS[SyntheticTask])
     hints = typing.get_type_hints(SyntheticTask)
-    _check_keys("task", body, hints)
+    _check_keys("task", body, [f.name for f in dataclasses.fields(SyntheticTask)])
     target = body.pop("target")
     kind = target.get("kind") if isinstance(target, dict) else None
     if not isinstance(kind, str) or kind not in _FACTORIES:
@@ -185,9 +193,7 @@ def task_from_dict(data: dict) -> SyntheticTask:
     types = typing.get_type_hints(factory)
     args = {key: _decode(label, key, types.get(key), target[key]) for key in names}
     body = {key: _decode("task", key, hints[key], val) for key, val in body.items()}
-    kernel, gamma = body.pop("kernel"), body.pop("gamma")
-    task = _build("task", factory, **args, **body)
-    return dataclasses.replace(task, kernel=kernel, gamma=gamma)
+    return _build("task", factory, **args, **body)
 
 
 def target_coefficients(target) -> dict:
@@ -207,7 +213,7 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(data: dict):
-    body = _untag(data, MODEL_FORMAT)
+    body = _untag(data, {"format": MODEL_FORMAT})
     kind = body.pop("type", None)
     if not isinstance(kind, str) or kind not in _MODELS:
         raise ContractError(f"model record has no known type: type={kind!r}")

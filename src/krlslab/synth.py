@@ -5,15 +5,18 @@ on the uniform measure over [0, 1] is closed form:
 
     mu_k = ((k - 1/2) pi)^{-2},   phi_k(x) = sqrt(2) sin((k - 1/2) pi x).
 
-Eigenvalue decay k^{-2} gives capacity gamma = 1/2. Targets are finite
-Mercer expansions whose coefficients are scaled to hit a prescribed
-source-condition norm exactly, so the smoothness r of a task is known
-rather than assumed. Piecewise targets rebuild the expansion inside each
-grid cell (origin shifted to the cell, eigenvalues scaled by cell width)
-with a rough exponent on a designated exceptional set of cells; continuity
-across cell boundaries is deliberately not enforced. Both kinds share one
-construction (``_expansion``), one basis evaluation (``_series``) and one
-source-norm sum (``_source_sum``); a Sobolev target is the width-1 case.
+Eigenvalue decay k^{-2} gives capacity gamma = 1/2. This pair fixes the
+kernel (``KERNEL``) and gamma (``GAMMA``) of every task, so a task is only
+its target, its noise and its marginal, uniform on an interval inside
+[0, 1]. Targets are finite Mercer expansions whose coefficients are scaled
+to hit a prescribed source-condition norm exactly, which each target checks
+when built, so the smoothness r of a task is known rather than assumed.
+Piecewise targets rebuild the expansion inside each grid cell (origin
+shifted to the cell, eigenvalues scaled by cell width) with a rough
+exponent on a designated exceptional set of cells; continuity across cell
+boundaries is deliberately not enforced. Both kinds share one construction
+(``_expansion``), one basis evaluation (``_series``) and one source-norm
+sum (``_source_sum``); a Sobolev target is the width-1 case.
 ``_series`` sums the sine series as a polynomial in z = exp(i pi t), split
 into baby steps of _BABY terms whose inner sums are one BLAS product per
 block of points, and giant steps by Horner's rule in z^_BABY. Evaluating a
@@ -25,7 +28,8 @@ bitwise the same whatever batch it arrives in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import blas
@@ -43,6 +47,10 @@ _BABY = 16  # terms per inner sum of _series
 _CHUNK = 2048  # points per block of _series: its buffers stay near 1 MB
 _ALIGN = 8  # blocks are padded to this many points; see _series
 
+# The kernel of the Mercer pair below and its capacity: mu_k ~ k^{-2}.
+KERNEL = brownian()
+GAMMA = 0.5
+
 
 def mercer_eigenvalues(k_trunc: int) -> np.ndarray:
     """First k_trunc eigenvalues ((k - 1/2) pi)^{-2} of the min kernel."""
@@ -54,6 +62,16 @@ def _source_sum(coeffs: np.ndarray, r: float, width: float = 1.0) -> float:
     """sum_k c_k^2 (w mu_k)^{-2r}: the squared source norm of an expansion."""
     mu = width * mercer_eigenvalues(coeffs.shape[0])
     return float(np.sum(coeffs**2 * mu ** (-2.0 * r)))
+
+
+def _check_source_sums(sums, norms):
+    """Each squared source norm must equal its bound R^2 to 1e-10 relative."""
+    for j, (got, norm) in enumerate(zip(sums, norms)):
+        want = norm**2
+        if abs(got - want) > 1e-10 * want:
+            raise ContractError(
+                f"piece {j}: source sum {got!r} violates the bound R^2 = {want!r}"
+            )
 
 
 def _expansion(r: float, R: float, k_trunc: int, width: float = 1.0):
@@ -122,6 +140,9 @@ class SobolevTarget:
     coefficients: np.ndarray
     truncation_sup_error: float
 
+    def __post_init__(self):
+        _check_source_sums([self.source_sum()], [self.R])
+
     @property
     def k_trunc(self) -> int:
         return self.coefficients.shape[0]
@@ -154,7 +175,8 @@ class PiecewiseTarget:
 
     Inside cell j = [a, a + w) the basis is sqrt(2) sin((k-1/2) pi (x-a)/w)
     and the local eigenvalues are w * mu_k, so each piece has an exact local
-    source norm (R_l on exceptional cells, R_h elsewhere).
+    source norm (R_l on exceptional cells, R_h elsewhere), checked at
+    construction.
     """
 
     r_l: float
@@ -165,6 +187,10 @@ class PiecewiseTarget:
     exceptional: frozenset
     cell_coefficients: tuple
     truncation_sup_error: float
+
+    def __post_init__(self):
+        norms = [self.R_l if j in self.exceptional else self.R_h for j in range(self.cells)]
+        _check_source_sums(self.source_sums(), norms)
 
     @property
     def k_trunc(self) -> int:
@@ -261,45 +287,36 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SyntheticTask:
-    """A fully specified regression problem with known regularity.
+    """A fully specified regression problem with known regularity: a target
+    built in the brownian Mercer pair, its label noise and its marginal.
 
-    The marginal is uniform on an interval (the full kernel domain by
-    default; a subinterval is allowed and changes only where inputs fall,
-    not the target or the kernel). The source-condition bound of the target
-    is verified at construction.
+    The pair fixes the kernel and the capacity gamma, read-only for every
+    task. The marginal is ``("uniform", low, high)`` on an interval inside
+    the kernel's domain [0, 1] (all of it by default; a subinterval changes
+    only where inputs fall, not the target or the kernel).
     """
 
-    target: object
+    kernel: ClassVar[KernelSpec] = KERNEL
+    gamma: ClassVar[float] = GAMMA
+    target: SobolevTarget | PiecewiseTarget
     noise: NoiseSpec
-    kernel: KernelSpec = field(default_factory=brownian)
-    gamma: float = 0.5
     marginal: tuple = ("uniform", 0.0, 1.0)
 
     def __post_init__(self):
-        kind, lo, hi = self.marginal
-        if kind != "uniform" or not float(lo) < float(hi):
-            raise ContractError(f"unsupported marginal {self.marginal!r}")
-        object.__setattr__(self, "marginal", (kind, float(lo), float(hi)))
-        object.__setattr__(self, "gamma", _exponent(self.gamma, "gamma", high=1))
-        if isinstance(self.target, SobolevTarget):
-            got = self.target.source_sum()
-            want = self.target.R**2
-            if abs(got - want) > 1e-10 * want:
-                raise ContractError(
-                    f"target source sum {got!r} violates the bound R^2 = {want!r}"
-                )
-        if isinstance(self.target, PiecewiseTarget):
-            sums = self.target.source_sums()
-            wants = np.where(
-                np.isin(
-                    np.arange(self.target.partition.m),
-                    np.asarray(sorted(self.target.exceptional), dtype=int),
-                ),
-                self.target.R_l**2,
-                self.target.R_h**2,
-            )
-            if np.any(np.abs(sums - wants) > 1e-10 * wants):
-                raise ContractError("a cell's source sum misses its bound")
+        if not isinstance(self.target, (SobolevTarget, PiecewiseTarget)):
+            raise ContractError(f"target must be a SobolevTarget or PiecewiseTarget, "
+                                f"not {type(self.target).__name__}")
+        if not isinstance(self.noise, NoiseSpec):
+            raise ContractError(f"noise must be a NoiseSpec, not {type(self.noise).__name__}")
+        marginal = tuple(self.marginal) if isinstance(self.marginal, (tuple, list)) else ()
+        if marginal[:1] != ("uniform",):
+            raise ContractError(f"marginal {self.marginal!r} is not ('uniform', low, high)")
+        lo, hi = kernels._interval(marginal[1:], "marginal interval")
+        (dlo, dhi), = self.kernel.domain
+        if lo < dlo or hi > dhi:
+            raise ContractError(f"marginal interval ({lo}, {hi}) leaves the kernel's "
+                                f"domain [{dlo}, {dhi}]")
+        object.__setattr__(self, "marginal", ("uniform", lo, hi))
 
     def model_params(self) -> ModelParams:
         """Schedule inputs implied by the task.

@@ -45,9 +45,11 @@ class ModelParams:
 
 
 def _exponent(value, name: str, high: float = 0.5) -> float:
-    """value as a float if it is a real number in (0, high]."""
-    if isinstance(value, numbers.Real) and 0 < value <= high:
-        return float(value)
+    """value as a float if it is a real number in (0, high], read as
+    ``kernels._real`` reads it."""
+    real = kernels._number(value)
+    if isinstance(real, numbers.Real) and 0 < real <= high:
+        return float(real)
     bound = "1/2" if high == 0.5 else f"{high:g}"
     raise ContractError(f"{name}={value!r} must lie in (0, {bound}]")
 

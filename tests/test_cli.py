@@ -107,6 +107,16 @@ def test_synth_piecewise_and_missing_flags(tmp_path, capsys):
     assert code == 1 and "--r-l and --r-h" in err
 
 
+def test_synth_refuses_a_marginal_outside_the_kernel_domain(tmp_path, capsys):
+    out = tmp_path / "task.json"
+    code, _, err = _run(
+        capsys, "synth", "--kind", "sobolev", "--r", "0.5", "--marginal", "0.5", "1.5",
+        "--out", str(out),
+    )
+    assert code == 1 and not out.exists()
+    assert "marginal interval (0.5, 1.5) leaves the kernel's domain [0.0, 1.0]" in err
+
+
 def test_predict_points_file_multidim(tmp_path, capsys):
     # serialize a 2-d model directly, then drive predict with a points file
     from krlslab import fit_krls, gaussian

@@ -16,7 +16,6 @@ from krlslab import (
     NoiseSpec,
     RateReport,
     Row,
-    SyntheticTask,
     b_quantity,
     brownian,
     build_grid_partition,
@@ -159,13 +158,14 @@ _COUNTED = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, "2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, "2", True])
 @pytest.mark.parametrize("entry", sorted(_COUNTED))
 def test_counts_must_be_whole_numbers(entry, value):
     name, call = _COUNTED[entry]
     with pytest.raises(ContractError, match=f"{name} must be a whole number"):
         call(value)
-    for whole in (np.int64(2), np.uint8(2), 2.0):  # numpy integers and integral floats pass
+    # numpy integers, 0-d arrays and integral floats pass
+    for whole in (np.int64(2), np.uint8(2), np.array(2), 2.0):
         call(whole)
 
 
@@ -208,7 +208,7 @@ _REALS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "0.1"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "0.1", True])
 @pytest.mark.parametrize("entry", sorted(_REALS))
 def test_reals_must_be_finite_and_positive(entry, value):
     name, zero, call = _REALS[entry]
@@ -235,32 +235,49 @@ _SMOOTHNESS = {
 }
 
 
-@pytest.mark.parametrize("value", ["0.3", [0.3]])
+@pytest.mark.parametrize("value", ["0.3", [0.3], True])
 @pytest.mark.parametrize("entry", sorted(_SMOOTHNESS))
 def test_smoothness_must_be_a_real_in_half_interval(entry, value):
     name, call = _SMOOTHNESS[entry]
     message = rf"{name}={re.escape(repr(value))} must lie in \(0, 1/2\]"
     with pytest.raises(ContractError, match=message):
         call(value)
-    for good in (0.3, np.float32(0.5)):
+    for good in (0.3, np.float32(0.5), np.array(0.5)):
         call(good)
 
 
-_CAPACITY = {
-    "params_gamma": lambda g: ModelParams(0.5, g),
-    "task_gamma": lambda g: SyntheticTask(TASK.target, TASK.noise, gamma=g),
-}
+# A task's gamma is fixed by its Mercer pair; ModelParams takes any.
+_CAPACITY = {"params_gamma": lambda g: ModelParams(0.5, g)}
 
 
-@pytest.mark.parametrize("value", ["0.5", math.nan, 0.0, 1.5])
+@pytest.mark.parametrize("value", ["0.5", math.nan, 0.0, 1.5, True])
 @pytest.mark.parametrize("entry", sorted(_CAPACITY))
 def test_capacity_must_be_a_real_in_unit_interval(entry, value):
     call = _CAPACITY[entry]
     message = rf"gamma={re.escape(repr(value))} must lie in \(0, 1\]"
     with pytest.raises(ContractError, match=message):
         call(value)
-    for good in (1, np.float32(0.5)):
+    for good in (1, np.float32(0.5), np.array(0.5)):
         assert type(call(good).gamma) is float
+
+
+_INTERVALS = {
+    "kernel_domain": ("domain interval", lambda iv: gaussian(0.3, (iv,))),
+    "grid_box": ("box interval", lambda iv: build_grid_partition(iv, 2)),
+    "marginal": ("marginal interval", lambda iv: sobolev_task(
+        0.5, 1.0, NoiseSpec("gaussian", 0.1), marginal=("uniform", *iv), k_trunc=8)),
+}
+
+
+@pytest.mark.parametrize("value", [("0.1", "0.9"), (0.0, math.inf), (math.nan, 1.0),
+                                   (0.5, 0.5), (0.5,), (0.1, 0.5, 0.9), (True, 0.9)])
+@pytest.mark.parametrize("entry", sorted(_INTERVALS))
+def test_intervals_must_be_finite_and_increasing(entry, value):
+    name, call = _INTERVALS[entry]
+    with pytest.raises(ContractError, match=f"{name} must be a finite increasing"):
+        call(value)
+    for good in ((0.25, 0.75), (np.float32(0.25), np.array(0.75)), (0, 1)):
+        call(good)
 
 
 @pytest.mark.parametrize("seed", [2.7, math.nan, "a", -1])

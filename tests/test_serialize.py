@@ -70,15 +70,6 @@ def test_task_round_trips():
         np.testing.assert_array_equal(a, b)
 
 
-def test_task_kernel_persists():
-    # a non-default kernel must survive the round trip rather than falling
-    # back to the constructor default
-    base = sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.1))
-    task = dataclasses.replace(base, kernel=gaussian(0.4))
-    back = serialize.task_from_dict(_json_cycle(serialize.task_to_dict(task)))
-    assert back.kernel == gaussian(0.4)
-
-
 def test_task_format_guard():
     with pytest.raises(ContractError):
         serialize.task_from_dict({"format": "something-else"})
@@ -430,14 +421,49 @@ _MALFORMED = {
     ),
     "two_entry_marginal": (
         lambda: {**_PIECEWISE_RECORD, "marginal": ["uniform", 0.0]},
-        r"task record: not enough values to unpack",
+        r"marginal interval must be a finite increasing \(low, high\), got \(0.0,\)",
+    ),
+    "marginal_outside_domain": (
+        lambda: {**_SOBOLEV_RECORD, "marginal": ["uniform", 0.5, 1.5]},
+        r"marginal interval \(0.5, 1.5\) leaves the kernel's domain \[0.0, 1.0\]",
     ),
     "string_r": (
         lambda: {**_SOBOLEV_RECORD, "target": {**_SOBOLEV_RECORD["target"], "r": "0.5"}},
         "sobolev target field r must be a JSON number",
     ),
     "string_gamma": (
-        lambda: {**_SOBOLEV_RECORD, "gamma": "0.5"}, "task field gamma must be a JSON number"
+        lambda: {**_SOBOLEV_RECORD, "gamma": "0.5"}, "krlslab-task/1 record: gamma='0.5'"
+    ),
+    # the Mercer pair fixes a task's kernel and gamma
+    "other_task_gamma": (
+        lambda: {**_SOBOLEV_RECORD, "gamma": 0.3}, "krlslab-task/1 record: gamma=0.3"
+    ),
+    "other_task_kernel": (
+        lambda: {**_PIECEWISE_RECORD, "kernel": serialize.kernel_to_dict(gaussian(0.4))},
+        "krlslab-task/1 record: kernel=.*'gaussian'",
+    ),
+    "task_without_gamma": (
+        lambda: _drop(_SOBOLEV_RECORD, "gamma"), "krlslab-task/1 record: gamma=None"
+    ),
+    "negative_lambda": (
+        lambda: {**_KRLS, "lambda": -1.0}, "lam must be positive and finite, got -1.0"
+    ),
+    "nan_lambda": (
+        lambda: {**_KRLS, "lambda": float("nan")}, "lam must be positive and finite, got nan"
+    ),
+    "zero_lambda": (
+        lambda: {**_KRLS, "lambda": 0.0}, "lam must be positive and finite, got 0.0"
+    ),
+    "nystrom_zero_lambda": (
+        lambda: {**_FORMAT1_MODELS["nystrom"], "lambda": 0.0}, "lam must be positive"
+    ),
+    "localized_negative_lambda": (
+        lambda: {**_FORMAT1_MODELS["localized_nystrom"], "lambda": -1e-2},
+        "lam must be positive",
+    ),
+    "average_nan_lambda": (
+        lambda: {**_FORMAT1_MODELS["distributed_avg"], "lambda": float("nan")},
+        "lam must be positive",
     ),
     "inputs_outside_domain": (
         lambda: {**_KRLS, "inputs": [[0.1], [0.25], [0.4], [1.5]]},

@@ -328,16 +328,71 @@ def test_mise_zero_predictor_matches_second_moment():
 def test_task_validation():
     with pytest.raises(ContractError):
         sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.1), marginal=("uniform", 0.9, 0.2))
-    with pytest.raises(ContractError):
-        SyntheticTask(
-            target=make_sobolev_target(0.5, 1.0),
-            noise=NoiseSpec("gaussian", 0.1),
-            gamma=1.5,
-        )
     # a target whose realized norm exceeds its declared bound is rejected
-    bad = dataclasses.replace(make_sobolev_target(0.5, 1.0), coefficients=2.0 * make_sobolev_target(0.5, 1.0).coefficients)
-    with pytest.raises(ContractError):
-        SyntheticTask(target=bad, noise=NoiseSpec("gaussian", 0.1))
+    target = make_sobolev_target(0.5, 1.0)
+    with pytest.raises(ContractError, match="violates the bound"):
+        dataclasses.replace(target, coefficients=2.0 * target.coefficients)
+
+
+def test_piecewise_target_checks_each_cell_norm():
+    target = make_piecewise_target(0.1, 0.5, 0.25, 1.0, build_grid_partition((0.0, 1.0), 4), {1}, 8)
+    cells = list(target.cell_coefficients)
+    cells[2] = 1.5 * cells[2]
+    with pytest.raises(ContractError, match=r"piece 2: source sum .* violates the bound R\^2 = 1.0"):
+        dataclasses.replace(target, cell_coefficients=tuple(cells))
+    with pytest.raises(ContractError, match=r"piece 2: .* R\^2 = 0.0625"):
+        dataclasses.replace(target, exceptional=frozenset({1, 2}))
+
+
+def test_task_is_its_target_noise_and_marginal():
+    assert [f.name for f in dataclasses.fields(SyntheticTask)] == ["target", "noise", "marginal"]
+    task = sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.1))
+    assert (task.kernel, task.gamma) == (synth.KERNEL, synth.GAMMA) == (brownian(), 0.5)
+    for field in ("kernel", "gamma"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(task, field, None)
+        with pytest.raises(TypeError):
+            dataclasses.replace(task, **{field: None})
+
+
+_NOISE = NoiseSpec("gaussian", 0.1)
+_BAD_TASKS = {
+    "marginal_outside_domain": (
+        lambda: sobolev_task(0.5, 1.0, _NOISE, marginal=("uniform", 0.5, 1.5)),
+        r"marginal interval \(0.5, 1.5\) leaves the kernel's domain \[0.0, 1.0\]",
+    ),
+    "string_marginal": (
+        lambda: sobolev_task(0.5, 1.0, _NOISE, marginal=("uniform", "0.1", "0.9")),
+        "marginal interval must be a finite increasing",
+    ),
+    "infinite_marginal": (
+        lambda: sobolev_task(0.5, 1.0, _NOISE, marginal=("uniform", 0, math.inf)),
+        "marginal interval must be a finite increasing",
+    ),
+    "two_entry_marginal": (
+        lambda: sobolev_task(0.5, 1.0, _NOISE, marginal=("uniform", 0.5)),
+        "marginal interval must be a finite increasing",
+    ),
+    "other_law": (
+        lambda: sobolev_task(0.5, 1.0, _NOISE, marginal=("beta", 0.1, 0.9)),
+        r"marginal \('beta', 0.1, 0.9\) is not \('uniform', low, high\)",
+    ),
+    "function_target": (
+        lambda: SyntheticTask(np.sin, _NOISE),
+        "target must be a SobolevTarget or PiecewiseTarget, not ufunc",
+    ),
+    "noise_tuple": (
+        lambda: SyntheticTask(make_sobolev_target(0.5, 1.0, 8), ("gaussian", 0.1)),
+        "noise must be a NoiseSpec, not tuple",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TASKS))
+def test_bad_tasks_fail_at_construction(case):
+    build, message = _BAD_TASKS[case]
+    with pytest.raises(ContractError, match=message):
+        build()
 
 
 def test_model_params_mapping():
