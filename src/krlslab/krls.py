@@ -15,23 +15,22 @@ points ascending (a 2-core VM), so the scorers in ``synth`` sort their
 test draw. Every other family forms the N x n cross-Gram in row blocks and
 multiplies it by alpha, in O(N n) time and one block of memory.
 
-A fit holds one n x n Gram and factors it in place. A min-kernel fit of
-at least ``_FLOAT32_MIN_N`` points holds its Gram in float32 and factors
-it by spotrf, which reads one triangle. Up to one row block (n <= 1024)
-that Gram is one numpy array; above it only the upper triangle is written,
-into an anonymous mapping without huge pages, so the untouched half is
-never faulted in and the fit keeps about 2 n^2 bytes resident, a quarter
-of the float64 Gram. ``linalg._cholesky_solve`` refines that solve in
-float64 against ``_min_expansion``, by two triangular solves on the factor
-per step, until it matches the float64 solve to rounding. If the float32
-factorization fails or the refinement stalls, the float32 Gram is freed and
-the fit solves in float64 through the same function, as every other fit
-does.
+A fit holds one Gram and factors it in place. A min-kernel fit of at
+least ``_FLOAT32_MIN_N`` points holds its Gram in float32, packed in
+Rectangular Full Packed storage (``_packed_min_gram32``): one dense array
+of n (n + 1) / 2 entries, about 2 n^2 bytes, a quarter of the float64 Gram,
+which spftrf factors at BLAS-3 speed. Every page of it is written, so the
+huge pages numpy advises for an array this large fault it in 2 MB at a
+time and waste nothing. ``linalg._cholesky_solve`` refines that solve in
+float64 against ``_min_expansion``, by blocked triangular solves on the
+packed factor, until it matches the float64 solve to rounding. If the
+float32 factorization fails or the refinement stalls, the float32 Gram is
+freed and the fit solves in float64 through the same function, as every
+other fit does.
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +45,19 @@ from .kernels import KernelSpec
 # being mapped and page-faulted in afresh. On the benchmark, 2**18 to 2**21
 # scored alike and peak RSS grew with the block by a few MB.
 _BLOCK_ENTRIES = 2**20
-# Rows per band of a triangle written band by band, and the strict
-# lower triangle of one diagonal block, sliced rather than built per band.
+# Rows per band of the packed Gram's triangle written band by band, and the
+# strict lower triangle of one diagonal block, sliced rather than built per
+# band.
 _BAND = 64
 _STRICT_LOWER = np.tri(_BAND, k=-1, dtype=bool)
 # Fewest points of a min-kernel fit factored in float32 and refined. On a
-# 2-core VM (OpenBLAS 0.3.31), in 400 alternating calls on [0.9, 1] data,
-# float32 was faster than the float64 solve in 154 at n = 128, 313 at 144
-# and 391 at 160; it lost all 200 at n = 97. Smaller fits stay bitwise
-# those of the float64 solve.
-_FLOAT32_MIN_N = 144
+# 2-core VM (OpenBLAS 0.3.30), in 400 alternating calls on [0.9, 1] data,
+# the packed float32 solve beat the float64 solve in at most 10 at each of
+# n = 128, 144, 160 and 192, in 64 to 355 at 224 to 384 (varying from run
+# to run) and in 356 to 391 at 416, 448 and 512 (two or three runs each);
+# from 448 every run won at least 377. Smaller fits stay bitwise those of
+# the float64 solve.
+_FLOAT32_MIN_N = 448
 
 
 @dataclass(frozen=True)
@@ -170,15 +172,13 @@ def fit_krls(x, y, lam: float, spec: KernelSpec) -> KrlsModel:
 
     The n-scaled shift lam * n comes from the 1/n weighting of the squared
     error in the objective. The Gram is factored in place, so the fit holds
-    one n x n matrix; the rare jitter retry builds it again. A min-kernel
+    one Gram; the rare jitter retry builds it again. A min-kernel
     fit of at least ``_FLOAT32_MIN_N`` points, where float32 was measured
-    faster, is factored in float32 from the upper triangle of its Gram and
-    the solve refined in float64 against the prefix-sum product by
-    triangular solves on the factor. Above one row block only that triangle
-    is written, into a lazily mapped buffer whose lower half is never
-    touched (about 2 n^2 bytes resident). If the refined solve fails, its
-    buffer is freed and the fit solves in float64; smaller fits solve in
-    float64 from the start.
+    faster, holds its Gram in float32 packed storage (2 n^2 + O(n) bytes),
+    factors it there and refines the solve in float64 against the
+    prefix-sum product by triangular solves on the packed factor. If the
+    refined solve fails, the packed Gram is freed and the fit solves in
+    float64; smaller fits solve in float64 from the start.
     """
     lam = kernels._real(lam, "lam")
     pts, y = kernels._as_data(x, y, spec.dim)
@@ -206,37 +206,48 @@ def _refined_min_solve(spec: KernelSpec, pts: np.ndarray, shift: float, y: np.nd
         return _sorted_min_expansion(t, k, sorted_t, v[order])
 
     try:
-        return linalg._cholesky_solve(_upper_min_gram32(t), shift, y, apply)
+        return linalg._cholesky_solve(_packed_min_gram32(t), shift, y, apply)
     except np.linalg.LinAlgError:
         return None
 
 
-def _upper_min_gram32(t: np.ndarray) -> np.ndarray:
-    """The min-kernel Gram of t in float32, C-ordered, with at least its
-    upper triangle written. Rounding is monotone, so the min of the rounded
-    points is the rounded float64 Gram, entry for entry.
+def _packed_min_gram32(t: np.ndarray) -> np.ndarray:
+    """The min-kernel Gram A of t in float32, in Rectangular Full Packed
+    storage with TRANSR = 'T' and UPLO = 'L' (Gustavson et al., ACM TOMS
+    37(2), 2010), as LAPACK's spftrf reads it. Rounding is monotone, so the
+    min of the rounded points is the rounded float64 Gram, entry for entry.
 
-    Up to one row block the whole Gram is one np.minimum.outer on the heap.
-    Above it, only the upper triangle is written and the strict lower one
-    reads 0: the n x n buffer is an anonymous mapping advised against huge
-    pages, so the pages of the lower half, never written, are never faulted
-    in. numpy would advise huge pages for a buffer this large and fault in
-    the lower half 2 MB at a time along with the upper one. A small Gram is
-    not mapped, because a fresh mapping's pages are faulted in on every fit
-    (about 0.6 ms per MB on a 2-core VM) where the heap reuses its own: at
-    n = 512 the mapped triangle took 0.76 ms and the heap Gram 0.16 ms.
+    For an even order m = 2h the result R is C-ordered, of shape (m + 1, h):
+    R[h + 1:] is the dense block A[h:, :h], the lower triangle of R[1:h + 1]
+    is that of A[:h, :h] and the upper triangle of R[:h] is that of
+    A[h:, h:]. That is m (m + 1) / 2 entries and no n x n temporary. An odd
+    n is padded to m = n + 1 by one decoupled point: a last row and column
+    of zeros with 1 on the diagonal, so that a zero right-hand side entry
+    there solves to exactly 0. The zeros are the min of a padded point at 0
+    and t, which lies in [0, 1]. The odd RFP layout is not used, because its
+    trailing triangle is a strided block that scipy's BLAS would copy on
+    every triangular solve.
     """
     n = t.shape[0]
-    t32 = t.astype(np.float32)
-    if n * n <= _BLOCK_ENTRIES:
-        return np.minimum.outer(t32, t32)
-    buffer = mmap.mmap(-1, 4 * n * n)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux only
-        buffer.madvise(mmap.MADV_NOHUGEPAGE)
-    k32 = np.frombuffer(buffer, dtype=np.float32).reshape(n, n)
-    for i in range(0, n, _BAND):
-        j = min(i + _BAND, n)
-        np.minimum(t32[i:j, None], t32[None, j:], out=k32[i:j, j:])
-        np.minimum(t32[i:j, None], t32[None, i:j], out=k32[i:j, i:j],
-                   where=~_STRICT_LOWER[: j - i, : j - i])
-    return k32
+    h = (n + 1) // 2
+    # p is a 0, then the points padded by a point at 0 to even order, so
+    # A[i - 1, j] = min(p[i], left[j]) for every i >= 1 and j < h.
+    p = np.zeros(2 * h + 1, dtype=np.float32)
+    p[1:n + 1] = t
+    left, right = p[1:h + 1], p[h + 1:]
+    r = np.empty((2 * h + 1, h), dtype=np.float32)
+    # R[h] is A[h - 1, :h] and R[h + 1:] is A[h:, :h]: all from the left half
+    np.minimum(p[h:, None], left[None, :], out=r[h:])
+    # Row i < h of R holds A[h + i, h + j] for j >= i and A[i - 1, j] for
+    # j < i: the first goes everywhere in one call, then the second over it
+    # band by band. At n = 512 on a 2-core VM that took 113 us, and four
+    # calls per band that wrote each entry once 138 us.
+    np.minimum.outer(right, right, out=r[:h])
+    for i in range(0, h, _BAND):
+        j = min(i + _BAND, h)
+        np.minimum(p[i:j, None], left[None, :i], out=r[i:j, :i])
+        np.minimum(p[i:j, None], left[None, i:j], out=r[i:j, i:j],
+                   where=_STRICT_LOWER[: j - i, : j - i])
+    if 2 * h > n:  # the padded point is 0, so its row and column are 0
+        r[h - 1, h - 1] = 1.0
+    return r

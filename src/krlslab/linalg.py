@@ -12,18 +12,22 @@ their own OpenBLAS with its own thread pool; a fit or predict that
 alternated between them left one pool's workers spinning on the cores the
 other needed. numpy keeps the elementwise work.
 
-``_cholesky_solve`` is the one Cholesky solve. It consumes a C-ordered
-float32 or float64 matrix whose upper triangle holds K, factors it in place
-by spotrf or dpotrf, and accepts x only within RESIDUAL_RTOL * |b| by an
-exact float64 product with K that the caller hands it. Gram-based fits,
-symmetric by construction, skip the symmetry check through the private
-``_spd_solve`` and hand it a function that builds the matrix, so that a
-dense fit holds one n x n buffer and the jitter retry factors a rebuilt
-Gram; the public ``spd_solve`` factors a copy. Brownian fits hand it a
-float32 Gram with a prefix-sum product. Only a float32 factor is refined in
-float64, as LAPACK's dsposv does (Buttari et al., IJHPCA 2007); when that
-fails, the caller frees it and solves in float64, so a fit never holds
-more than that solve would.
+``_cholesky_solve`` is the one Cholesky solve. It consumes either a
+C-ordered float64 matrix whose upper triangle holds K, which it factors in
+place by dpotrf, or a float32 K in Rectangular Full Packed storage (RFP,
+Gustavson et al., ACM TOMS 37(2), 2010; layout in
+``krls._packed_min_gram32``), which it factors in place by spftrf: n (n + 1)
+/ 2 entries, 2 n^2 + O(n) bytes, and each of its three blocks contiguous,
+so the triangular solves run on them without a copy. It accepts x only
+within RESIDUAL_RTOL * |b| by an exact float64 product with K that the
+caller hands it. Gram-based fits, symmetric by construction, skip the
+symmetry check through the private ``_spd_solve`` and hand it a function
+that builds the matrix, so that a dense fit holds one n x n buffer and the
+jitter retry factors a rebuilt Gram; the public ``spd_solve`` factors a
+copy. Brownian fits hand it a packed float32 Gram with a prefix-sum
+product. Only a float32 factor is refined in float64, as LAPACK's dsposv
+does (Buttari et al., IJHPCA 2007); when that fails, the caller frees it
+and solves in float64, so a fit never holds more than that solve would.
 
 Nystrom fits solve by ``_psd_solve``, which falls back to ``_pinv_solve``,
 the public ``pinv_solve`` less its checks; both read an upper triangle only.
@@ -195,13 +199,16 @@ def _cholesky_solve(k: np.ndarray, shift: float, b: np.ndarray,
                     apply: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Solve (K + shift * I) x = b from a Cholesky factor of k, consuming k.
 
-    k is a C-ordered float32 or float64 matrix whose upper triangle holds K,
-    rounded to k's dtype; nothing below its diagonal is read or written.
-    The shift goes onto its diagonal and spotrf or dpotrf, by the dtype,
-    writes the factor over the upper triangle in place; two triangular
-    solves on it (``_triangular_solve``) give x. apply(v) must return K v in
-    float64, and x is returned only if the residual b - apply(x) - shift * x
-    is within RESIDUAL_RTOL * |b|_2.
+    k holds K, rounded to k's dtype, in one of two layouts. A float64 k is
+    a C-ordered n x n matrix whose upper triangle holds K; nothing below its
+    diagonal is read or written, and dpotrf writes the factor over that
+    triangle. A float32 k is K in RFP storage, C-ordered of shape (m + 1,
+    m / 2) for an even m that is n, or n + 1 with K padded by one decoupled
+    point (see ``krls._packed_min_gram32``); spftrf writes the factor over
+    it. The shift goes onto the diagonal first, through strided slices.
+    Triangular solves on the factor (``_triangular_solve``) give x. apply(v)
+    must return K v in float64, and x is returned only if the residual
+    b - apply(x) - shift * x is within RESIDUAL_RTOL * |b|_2.
 
     A float32 factor is refined as in LAPACK's dsposv, for a vector b and an
     entrywise nonnegative K, so that |K|_inf = max(apply(1)). Each step
@@ -215,14 +222,23 @@ def _cholesky_solve(k: np.ndarray, shift: float, b: np.ndarray,
     above the stopping bound. The factor lives as long as that exception,
     so a caller drops it before it solves otherwise.
     """
-    n = k.shape[0]
-    potrf = "spotrf" if k.dtype == np.float32 else "dpotrf"
-    k.flat[:: n + 1] += k.dtype.type(shift)
-    # k.T is Fortran-ordered, so potrf factors it without a copy; its lower
-    # triangle is k's upper one.
-    factor, info = getattr(lapack, potrf)(k.T, lower=1, clean=0, overwrite_a=1)
+    n = b.shape[0]
+    if k.dtype == np.float32:
+        half = k.shape[1]
+        # the diagonals of K[half:, half:] and K[:half, :half]
+        k[:half].reshape(-1)[:: half + 1] += np.float32(shift)
+        k[1:half + 1].reshape(-1)[:: half + 1] += np.float32(shift)
+        packed, info = lapack.spftrf(2 * half, k.reshape(-1), transr="T", uplo="L",
+                                     overwrite_a=1)
+        routine, factor = "spftrf", packed.reshape(k.shape)
+    else:
+        k.flat[:: n + 1] += shift
+        # k.T is Fortran-ordered, so dpotrf factors it without a copy; its
+        # lower triangle is k's upper one.
+        factor, info = lapack.dpotrf(k.T, lower=1, clean=0, overwrite_a=1)
+        routine = "dpotrf"
     if info != 0:
-        raise np.linalg.LinAlgError(f"{potrf} failed with info {info}")
+        raise np.linalg.LinAlgError(f"{routine} failed with info {info}")
     x = _triangular_solve(factor, b).astype(float, copy=False)
     residual = b - apply(x) - shift * x
     if k.dtype == np.float32:
@@ -242,20 +258,43 @@ def _cholesky_solve(k: np.ndarray, shift: float, b: np.ndarray,
 
 
 def _triangular_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = b for the Fortran-ordered lower Cholesky factor L, as
-    L w = b and then L^T x = w, into a new array of L's dtype.
+    """Solve L L^T x = b for the Cholesky factor L that ``_cholesky_solve``
+    leaves, into a new array of L's dtype.
 
-    A vector takes two trsv, in L's precision; a matrix, float64 only, two
-    dtrsm. On a 2-core VM (OpenBLAS 0.3.31), potrs took 213 us against 81
-    for the two dtrsv at n = 512, and 148 ms against 23 for the two strsv at
-    n = 8192.
+    A float64 L is Fortran-ordered and lower: a vector takes two dtrsv, a
+    matrix two dtrsm. On a 2-core VM (OpenBLAS 0.3.31), potrs took 213 us
+    against 81 for the two dtrsv at n = 512.
+
+    A float32 L is packed (RFP, vector b only) and splits into L11 (the
+    lower triangle of factor[1:h + 1]), L21 (factor[h + 1:]) and L22 (the
+    upper triangle of factor[:h], transposed), each contiguous, so their
+    transposes are Fortran-ordered views that BLAS reads in place. L w = b
+    is strsv on L11, sgemv by L21 and strsv on L22; L^T x = w runs them
+    backwards. A padded system solves with a 0 appended to b, whose entry of
+    x comes out exactly 0 and is dropped. At n = 8192 on a 2-core VM
+    (OpenBLAS 0.3.30) these six calls took 12 ms per vector, spftrs 70 ms
+    and two strsv on a full n x n float32 factor 17 ms.
     """
-    if b.ndim == 1:
-        trsv = blas.strsv if factor.dtype == np.float32 else blas.dtrsv
-        w = trsv(factor, b.astype(factor.dtype), lower=1, overwrite_x=1)
-        return trsv(factor, w, lower=1, trans=1, overwrite_x=1)
-    w = blas.dtrsm(1.0, factor, b, lower=1)
-    return blas.dtrsm(1.0, factor, w, lower=1, trans_a=1, overwrite_b=1)
+    if factor.dtype == np.float64:
+        if b.ndim == 1:
+            w = blas.dtrsv(factor, b, lower=1)
+            return blas.dtrsv(factor, w, lower=1, trans=1, overwrite_x=1)
+        w = blas.dtrsm(1.0, factor, b, lower=1)
+        return blas.dtrsm(1.0, factor, w, lower=1, trans_a=1, overwrite_b=1)
+    half = factor.shape[1]
+    # Fortran-ordered views: L11^T in the upper triangle, L21^T, and L22 in
+    # the lower triangle
+    l11t, l21t, l22 = factor[1:half + 1].T, factor[half + 1:].T, factor[:half].T
+    w = np.zeros(2 * half, dtype=np.float32)
+    w[:b.shape[0]] = b
+    w1, w2 = w[:half], w[half:]
+    w1[:] = blas.strsv(l11t, w1, trans=1, overwrite_x=1)
+    w2[:] = blas.sgemv(-1.0, l21t, w1, beta=1.0, y=w2, trans=1, overwrite_y=1)
+    w2[:] = blas.strsv(l22, w2, lower=1, overwrite_x=1)
+    w2[:] = blas.strsv(l22, w2, lower=1, trans=1, overwrite_x=1)
+    w1[:] = blas.sgemv(-1.0, l21t, w2, beta=1.0, y=w1, overwrite_y=1)
+    w1[:] = blas.strsv(l11t, w1, overwrite_x=1)
+    return w[:b.shape[0]]
 
 
 def _check_residual(residual: np.ndarray, b: np.ndarray):

@@ -16,7 +16,9 @@ shifted to the cell, eigenvalues scaled by cell width) with a rough
 exponent on a designated exceptional set of cells; continuity across cell
 boundaries is deliberately not enforced. Both kinds share one construction
 (``_expansion``), one basis evaluation (``_series``) and one source-norm
-sum (``_source_sum``); a Sobolev target is the width-1 case.
+sum (``_source_sum``). A Sobolev target is the width-1 expansion, and a
+cell of width w holds the width-1 expansion of its smoothness r and norm
+scaled by w^r, which has the same source norm on the cell.
 ``_series`` sums the sine series as a polynomial in z = exp(i pi t), split
 into baby steps of _BABY terms whose inner sums are one BLAS product per
 block of points, and giant steps by Horner's rule in z^_BABY. Evaluating a
@@ -74,18 +76,21 @@ def _check_source_sums(sums, norms):
             )
 
 
-def _expansion(r: float, R: float, k_trunc: int, width: float = 1.0):
-    """Coefficients of smoothness r and source norm R on a cell of width w.
+def _expansion(r: float, R: float, k_trunc: int):
+    """Coefficients of smoothness r and source norm R on [0, 1].
 
-    Returns (c, tail): c_k = a (w mu_k)^{r + 1/2} k^{-slack} for k <= k_trunc,
-    with a chosen so that sum c_k^2 (w mu_k)^{-2r} = R^2, and the sup-norm of
-    the discarded series tail, summed numerically far out.
+    Returns (c, tail): c_k = a mu_k^{r + 1/2} k^{-slack} for k <= k_trunc,
+    with a chosen so that sum c_k^2 mu_k^{-2r} = R^2, and the sup-norm of
+    the discarded series tail, summed numerically over _TAIL_TERMS terms.
+
+    On a cell of width w, with eigenvalues w mu_k, the same rule gives
+    w^r c and w^r tail: the profile gains w^{r + 1/2} and a loses w^{1/2}.
     """
     k = np.arange(1, k_trunc + 1 + _TAIL_TERMS)
-    mu = width * mercer_eigenvalues(k.shape[0])
+    mu = mercer_eigenvalues(k.shape[0])
     profile = mu ** (r + 0.5) * k ** (-COEFF_SLACK)
     raw = profile[:k_trunc]
-    scale = math.sqrt(R * R / _source_sum(raw, r, width))
+    scale = math.sqrt(R * R / _source_sum(raw, r))
     return scale * raw, float(math.sqrt(2.0) * scale * np.sum(profile[k_trunc:]))
 
 
@@ -242,6 +247,9 @@ def make_piecewise_target(
 ) -> PiecewiseTarget:
     """Two-smoothness target: exponent r_l on the cells in ``exceptional``,
     r_h on the rest, each piece built natively in its cell's local expansion.
+
+    The width-1 expansion of each (r, R) pair is built once, and a cell of
+    width w scales it by w^r (see ``_expansion``).
     """
     r_l, r_h = _exponent(r_l, "r_l"), _exponent(r_h, "r_h")
     R_l, R_h = kernels._real(R_l, "R_l"), kernels._real(R_h, "R_h")
@@ -252,14 +260,18 @@ def make_piecewise_target(
     for j in exceptional:
         if j >= part.m:
             raise ContractError(f"exceptional cell {j} out of range")
+    unit = {}
     coeffs = []
     worst_tail = 0.0
     for j in range(part.m):
         (lo, hi), = grid_cell_bounds(part, j)
         rj, rr = (r_l, R_l) if j in exceptional else (r_h, R_h)
-        cj, tail = _expansion(rj, rr, k_trunc, hi - lo)
-        coeffs.append(cj)
-        worst_tail = max(worst_tail, tail)
+        if (rj, rr) not in unit:
+            unit[rj, rr] = _expansion(rj, rr, k_trunc)
+        c1, tail = unit[rj, rr]
+        scale = (hi - lo) ** rj
+        coeffs.append(scale * c1)
+        worst_tail = max(worst_tail, scale * tail)
     return PiecewiseTarget(
         r_l=r_l,
         r_h=r_h,

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -320,12 +321,12 @@ def _float64_alpha(spec, x, y, lam):
 
 
 @pytest.mark.parametrize(
-    "lam, failure", [(1e-12, "spotrf failed"), (1e-9, "refinement stalled")],
-    ids=["spotrf-fails", "refinement-stalls"],
+    "lam, failure", [(1e-12, "spftrf failed"), (1e-9, "refinement stalled")],
+    ids=["spftrf-fails", "refinement-stalls"],
 )
 def test_refined_fit_falls_back_to_float64_bitwise(lam, failure, monkeypatch):
     # on [0.9, 1] the min-kernel Gram is 0.9 plus a small brownian part, so
-    # float32 loses most of it: spotrf fails at lam = 1e-12 and the float32
+    # float32 loses most of it: spftrf fails at lam = 1e-12 and the float32
     # factor is too far off to refine at lam = 1e-9
     n = 2048
     rng = np.random.default_rng(19)
@@ -337,7 +338,7 @@ def test_refined_fit_falls_back_to_float64_bitwise(lam, failure, monkeypatch):
     np.testing.assert_array_equal(model.alpha, _float64_alpha(brownian(), x, y, lam))
 
 
-@pytest.mark.parametrize("n", [2048, 4096])
+@pytest.mark.parametrize("n", [2048, 2049, 4096])
 def test_refined_fit_matches_float64_solve(n, monkeypatch):
     # lam = n^-0.4 is the rate experiment's schedule for the brownian task
     rng = np.random.default_rng(20)
@@ -353,7 +354,7 @@ def test_refined_fit_matches_float64_solve(n, monkeypatch):
     assert np.linalg.norm(residual) <= linalg.RESIDUAL_RTOL * np.linalg.norm(y)
 
 
-@pytest.mark.parametrize("n", [krls._FLOAT32_MIN_N, 512, 1024])
+@pytest.mark.parametrize("n", [krls._FLOAT32_MIN_N, krls._FLOAT32_MIN_N + 1, 512, 1024])
 def test_small_refined_fit_matches_float64_solve(n, monkeypatch):
     # from the crossover up, a min-kernel fit factors in float32 and refines
     rng = np.random.default_rng(22)
@@ -391,7 +392,7 @@ def test_refined_products_match_min_expansion_bitwise(n, monkeypatch):
     monkeypatch.setattr(linalg, "_cholesky_solve", checking)
     model = fit_krls(x, y, lam, brownian())
     assert len(products) >= 2
-    reference = real(krls._upper_min_gram32(x), lam * n, y,
+    reference = real(krls._packed_min_gram32(x), lam * n, y,
                      lambda v: krls._min_expansion(x, x, v))
     np.testing.assert_array_equal(model.alpha, reference)
 
@@ -408,10 +409,31 @@ def test_fit_below_the_crossover_stays_float64(monkeypatch):
     np.testing.assert_array_equal(model.alpha, _float64_alpha(brownian(), x, y, lam))
 
 
-def test_small_refined_fit_holds_one_heap_float32_gram(monkeypatch):
-    # up to one row block the float32 Gram is one numpy array, so
-    # tracemalloc sees it: one 4 n^2 buffer and no float64 Gram
-    n = 1024
+def _packed_reference(x):
+    """The float32 min-kernel Gram of x, padded to even order m by a last
+    row and column of zeros with 1 on the diagonal, in RFP storage as
+    LAPACK's strttf packs it, shaped (m + 1, m / 2)."""
+    n = x.shape[0]
+    m = n + n % 2
+    a = np.zeros((m, m), dtype=np.float32, order="F")
+    a[:n, :n] = np.minimum.outer(x, x)
+    a[n:, n:] = 1.0
+    packed, info = lapack.strttf(a, transr="T", uplo="L")
+    assert info == 0
+    return packed.reshape(m + 1, m // 2)
+
+
+@pytest.mark.parametrize("n", [144, 145, 1024, 1025, 2048, 2049])
+def test_packed_gram_matches_strttf(n):
+    x = np.random.default_rng(n).uniform(0, 1, n)
+    k32 = krls._packed_min_gram32(x)
+    assert k32.dtype == np.float32 and k32.flags.c_contiguous
+    np.testing.assert_array_equal(k32, _packed_reference(x))
+
+
+def _packed_gram_peak(n, monkeypatch):
+    """The one float32 Gram a refined fit at n points hands the solve, and
+    the fit's tracemalloc peak."""
     rng = np.random.default_rng(23)
     x = rng.uniform(0, 1, n)
     y = rng.standard_normal(n)
@@ -432,9 +454,30 @@ def test_small_refined_fit_holds_one_heap_float32_gram(monkeypatch):
         tracemalloc.stop()
     assert failures == [None]
     (k32,) = buffers
-    assert k32.shape == (n, n) and k32.dtype == np.float32 and k32.flags.c_contiguous
-    assert k32.base is None  # not a view of an mmap
-    assert 4 * n * n <= peak < 1.5 * 4 * n * n
+    return k32, peak
+
+
+def test_small_refined_fit_holds_one_heap_float32_gram(monkeypatch):
+    # the packed Gram is one numpy array, so tracemalloc sees it: one
+    # 2 n (n + 1) byte buffer and no float64 Gram
+    n = 1024
+    k32, peak = _packed_gram_peak(n, monkeypatch)
+    assert k32.shape == (n + 1, n // 2) and k32.dtype == np.float32
+    assert k32.flags.c_contiguous and k32.base is None
+    assert 2 * n * (n + 1) <= peak < 1.5 * 2 * n * (n + 1)
+
+
+@pytest.mark.parametrize("n", [2048, 2049])
+def test_refined_fit_holds_one_packed_float32_gram(n, monkeypatch):
+    # the fit's one Gram is the packed float32 array, 4 (m + 1) m / 2 bytes
+    # for the even order m, and everything else is O(n): no n x n buffer of
+    # any dtype is built, not even a boolean mask
+    m = n + n % 2
+    k32, peak = _packed_gram_peak(n, monkeypatch)
+    assert k32.shape == (m + 1, m // 2) and k32.dtype == np.float32
+    assert k32.flags.c_contiguous and k32.base is None
+    packed = 4 * (m + 1) * m // 2
+    assert packed <= peak <= packed + 200 * n
 
 
 @pytest.mark.parametrize("outside", [1.5, -0.1, np.nan])
@@ -447,44 +490,14 @@ def test_refined_fit_checks_the_domain_first(outside, monkeypatch):
     assert failures == []
 
 
-_NEEDS_PROC = pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
-                                 reason="reads /proc/self")
-
-
-@_NEEDS_PROC
-def test_refined_fit_writes_only_the_upper_float32_triangle(monkeypatch):
-    # above one row block, a min-kernel fit writes the upper triangle of one
-    # float32 Gram into a mapping, which tracemalloc does not see
-    n = 2048
-    rng = np.random.default_rng(16)
-    x = rng.uniform(0, 1, n)
-    y = rng.standard_normal(n)
-    failures = _refined_failures(monkeypatch)
-    buffers = []
-    recording = linalg._cholesky_solve
-
-    def keeping(k32, *args):
-        buffers.append(k32)
-        return recording(k32, *args)
-
-    monkeypatch.setattr(linalg, "_cholesky_solve", keeping)
-    tracemalloc.start()
-    try:
-        fit_krls(x, y, 1e-3, brownian())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert failures == [None]
-    (k32,) = buffers
-    assert k32.shape == (n, n) and k32.dtype == np.float32 and k32.flags.c_contiguous
-    assert not np.tril(k32, -1).any()
-    # numpy built no n x n temporary, float32 or otherwise
-    assert peak < n * n * 4 / 4
-    # the lower half is never faulted in: at n = 4096 the fit's resident
-    # growth stays well below the 64 MB of the whole float32 Gram. A first
-    # refined fit at n = 1100 loads the BLAS buffers, which are not the fit's.
-    # The child reads its peak from VmHWM: ru_maxrss would start from this
-    # process's peak, which Linux carries across exec.
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self")
+def test_refined_fit_keeps_only_the_packed_gram_resident():
+    # every page of the packed Gram is written and nothing else of n^2 size
+    # is: at n = 4096 the fit's resident growth stays within 15 % of the
+    # 32 MB packed array (the triangle of a mapped n x n buffer grew it by
+    # 40 MB). A first refined fit at n = 1100 loads the BLAS buffers, which
+    # are not the fit's. The child reads its peak from VmHWM: ru_maxrss
+    # would start from this process's peak, which Linux carries across exec.
     script = textwrap.dedent("""
         import numpy as np
         from krlslab import brownian, fit_krls
@@ -505,54 +518,45 @@ def test_refined_fit_writes_only_the_upper_float32_triangle(monkeypatch):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     growth_kb = int(done.stdout.split()[-1])
-    assert growth_kb * 1024 < 0.75 * 4 * 4096**2
+    assert growth_kb * 1024 < 1.15 * 4 * 4097 * 4096 / 2
 
 
-def _is_mapped(address: int) -> bool:
-    with open("/proc/self/maps", encoding="ascii") as maps:
-        for line in maps:
-            start, end = (int(a, 16) for a in line.split()[0].split("-"))
-            if start <= address < end:
-                return True
-    return False
-
-
-@_NEEDS_PROC
-@pytest.mark.parametrize("lam", [1e-12, 1e-9], ids=["spotrf-fails", "refinement-stalls"])
-def test_refined_fit_unmaps_the_float32_gram_before_the_fallback(lam, monkeypatch):
-    # the float64 fallback builds its Gram only once the float32 mapping is
-    # gone, so a fit never holds both
+@pytest.mark.parametrize("lam", [1e-12, 1e-9], ids=["spftrf-fails", "refinement-stalls"])
+def test_refined_fit_frees_the_float32_gram_before_the_fallback(lam, monkeypatch):
+    # the float64 fallback builds its Gram only once the packed float32
+    # Gram is gone, so a fit never holds both
     n = 2048
     rng = np.random.default_rng(19)
     x = rng.uniform(0.9, 1.0, n)
     y = np.sin(6 * x)
     failures = _refined_failures(monkeypatch)
-    addresses, mapped = [], []
+    packed, alive = [], []
     recording, real_gram = linalg._cholesky_solve, kernels.gram
 
-    def addressing(k, *args):
+    def referencing(k, *args):
         if k.dtype == np.float32:
-            addresses.append(k.__array_interface__["data"][0])
-            assert _is_mapped(addresses[-1])
+            packed.append(weakref.ref(k))
         return recording(k, *args)
 
     def checking_gram(spec, pts):
-        mapped.append(_is_mapped(addresses[-1]))
+        alive.append(packed[-1]() is not None)
         return real_gram(spec, pts)
 
-    monkeypatch.setattr(linalg, "_cholesky_solve", addressing)
+    monkeypatch.setattr(linalg, "_cholesky_solve", referencing)
     monkeypatch.setattr(kernels, "gram", checking_gram)
     fit_krls(x, y, lam, brownian())
     assert len(failures) == 1 and failures[0] is not None
-    assert mapped == [False]
+    assert alive == [False]
 
 
 def test_refined_fit_corrects_without_spotrs(monkeypatch):
-    # each correction is two strsv on the float32 factor
+    # each correction is four strsv and two sgemv on the blocks of the
+    # packed factor, not a LAPACK solve
     def refused(*args, **kwargs):
-        raise AssertionError("spotrs called")
+        raise AssertionError("a LAPACK triangular solve was called")
 
     monkeypatch.setattr(lapack, "spotrs", refused)
+    monkeypatch.setattr(lapack, "spftrs", refused)
     n = 2048
     rng = np.random.default_rng(20)
     x = rng.uniform(0, 1, n)

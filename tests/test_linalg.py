@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from krlslab import (
     ContractError,
@@ -26,6 +26,28 @@ def _random_symmetric(rng, n):
 def _random_spd(rng, n):
     a = rng.standard_normal((n, n))
     return a @ a.T + n * np.eye(n)
+
+
+def _packed(a):
+    """The symmetric matrix a in float32 RFP storage (TRANSR = 'T', UPLO =
+    'L'), shaped (m + 1, m / 2); an odd order is padded to m = n + 1 by a
+    decoupled last row and column with 1 on the diagonal."""
+    n = a.shape[0]
+    m = n + n % 2
+    full = np.zeros((m, m), dtype=np.float32, order="F")
+    full[:n, :n] = a
+    full[n:, n:] = 1.0
+    packed, info = lapack.strttf(full, transr="T", uplo="L")
+    assert info == 0
+    return packed.reshape(m + 1, m // 2)
+
+
+def _unpacked_lower(packed):
+    """The lower triangle of the matrix that packed holds, in float64."""
+    m = 2 * packed.shape[1]
+    full, info = lapack.stfttr(m, packed.reshape(-1), transr="T", uplo="L")
+    assert info == 0
+    return np.tril(full).astype(float)
 
 
 def test_eigh_diagonal():
@@ -223,39 +245,85 @@ def test_cholesky_solve_copies_no_matrix(cols):
 def test_refined_solve_factors_float32_in_place_and_refines_in_float64():
     # a min-kernel Gram: entrywise positive, as the stopping rule assumes
     rng = np.random.default_rng(10)
-    n = 300
-    t = rng.uniform(0, 1, n)
-    a = np.minimum.outer(t, t)
-    a32 = a.astype(np.float32)
-    b = rng.standard_normal(n)
-    shifted = a + 0.5 * np.eye(n)
-    x = linalg._cholesky_solve(a32, 0.5, b, lambda v: a @ v)
-    expected = np.linalg.solve(shifted, b)
-    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
-    # spotrf wrote the factor over the upper triangle of the one buffer
-    upper = np.triu(a32).astype(float)
-    np.testing.assert_allclose(upper.T @ upper, shifted, rtol=0, atol=1e-5)
-    # refined against the wrong product, the float32 factor cannot halve
-    # the residual in a step
-    with pytest.raises(np.linalg.LinAlgError, match="refinement stalled"):
-        linalg._cholesky_solve(a.astype(np.float32), 0.5, b, lambda v: 2 * a @ v)
+    for n in (300, 301):
+        t = rng.uniform(0, 1, n)
+        a = np.minimum.outer(t, t)
+        a32 = _packed(a)
+        b = rng.standard_normal(n)
+        shifted = a + 0.5 * np.eye(n)
+        x = linalg._cholesky_solve(a32, 0.5, b, lambda v: a @ v)
+        expected = np.linalg.solve(shifted, b)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+        # spftrf wrote the factor over the one packed buffer; a padded
+        # system has the shift on its decoupled diagonal too
+        lower = _unpacked_lower(a32)
+        want = 1.5 * np.eye(lower.shape[0])
+        want[:n, :n] = shifted
+        np.testing.assert_allclose(lower @ lower.T, want, rtol=0, atol=1e-5)
+        # refined against the wrong product, the float32 factor cannot
+        # halve the residual in a step
+        with pytest.raises(np.linalg.LinAlgError, match="refinement stalled"):
+            linalg._cholesky_solve(_packed(a), 0.5, b, lambda v: 2 * a @ v)
+        with pytest.raises(np.linalg.LinAlgError, match="spftrf failed"):
+            linalg._cholesky_solve(_packed(-a), 0.0, b, lambda v: -a @ v)
 
 
 def test_refined_solve_reads_and_writes_only_the_upper_triangle():
-    # the strict lower triangle of the C-ordered buffer is neither read nor
-    # written: NaN there changes nothing and stays NaN
+    # the strict lower triangle of a C-ordered float64 buffer is neither
+    # read nor written: NaN there changes nothing and stays NaN
     rng = np.random.default_rng(11)
     n = 300
     t = rng.uniform(0, 1, n)
     a = np.minimum.outer(t, t)
     b = rng.standard_normal(n)
     lower = np.tri(n, k=-1, dtype=bool)
-    a32 = a.astype(np.float32)
-    a32[lower] = np.nan
-    x = linalg._cholesky_solve(a32, 0.5, b, lambda v: a @ v)
-    expected = linalg._cholesky_solve(a.astype(np.float32), 0.5, b, lambda v: a @ v)
+    k = a.copy()
+    k[lower] = np.nan
+    x = linalg._cholesky_solve(k, 0.5, b, lambda v: a @ v)
+    expected = linalg._cholesky_solve(a.copy(), 0.5, b, lambda v: a @ v)
     np.testing.assert_array_equal(x, expected)
-    assert np.isnan(a32[lower]).all()
+    assert np.isnan(k[lower]).all()
+
+
+@pytest.mark.parametrize("n", [300, 301, 2048, 2049])
+def test_packed_triangular_solve_copies_no_block(n):
+    # the packed factor's three blocks reach BLAS as Fortran-ordered views:
+    # the solve allocates its vectors, never a block (at n = 2048, 4 MB)
+    rng = np.random.default_rng(15)
+    t = rng.uniform(0, 1, n)
+    factor = _packed(np.minimum.outer(t, t) + np.eye(n))
+    half = factor.shape[1]
+    _, info = lapack.spftrf(2 * half, factor.reshape(-1), transr="T", uplo="L",
+                            overwrite_a=1)
+    assert info == 0
+    b = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        x = linalg._triangular_solve(factor, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n + 1024
+    lower = _unpacked_lower(factor)[:n, :n]
+    expected = np.linalg.solve(lower @ lower.T, b)
+    assert np.linalg.norm(x - expected) <= 1e-4 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n", [301, 2049])
+def test_padded_entry_solves_to_exactly_zero(n):
+    # with the decoupled point's right-hand side 0, its entry of x is 0,
+    # and the others are bitwise those of the solve without it
+    rng = np.random.default_rng(16)
+    t = rng.uniform(0, 1, n)
+    factor = _packed(np.minimum.outer(t, t) + 0.5 * np.eye(n))
+    half = factor.shape[1]
+    _, info = lapack.spftrf(2 * half, factor.reshape(-1), transr="T", uplo="L",
+                            overwrite_a=1)
+    assert info == 0
+    b = rng.standard_normal(n)
+    padded = linalg._triangular_solve(factor, np.append(b, 0.0))
+    assert padded.shape == (n + 1,) and padded[n] == 0.0
+    np.testing.assert_array_equal(padded[:n], linalg._triangular_solve(factor, b))
 
 
 @pytest.mark.parametrize("cols", [None, 2], ids=["vector", "matrix"])
@@ -319,7 +387,7 @@ def test_cholesky_solve_refines_only_a_float32_factor(monkeypatch):
     expected = np.linalg.solve(a + 0.5 * np.eye(n), b)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
     with pytest.raises(np.linalg.LinAlgError, match="refinement stalled"):
-        linalg._cholesky_solve(a.astype(np.float32), 0.5, b, lambda v: 2 * a @ v)
+        linalg._cholesky_solve(_packed(a), 0.5, b, lambda v: 2 * a @ v)
     with pytest.raises(np.linalg.LinAlgError, match="residual above tolerance"):
         linalg._cholesky_solve(a.copy(), 0.5, b, lambda v: 2 * a @ v)
 

@@ -7,7 +7,8 @@ other needs. Every product, dot and norm therefore calls
 syntax tree of every module and fails on a numpy product, norm or
 numpy.linalg call. It also keeps every factorization in ``linalg``: no other
 module may reach scipy's LAPACK, through ``scipy.linalg.lapack`` or any
-other ``scipy.linalg`` function.
+other ``scipy.linalg`` function, and every Cholesky factorization, full
+(potrf) or packed (pftrf), is called from ``linalg._cholesky_solve``.
 """
 
 import ast
@@ -85,13 +86,25 @@ def _lapack_uses(path: Path):
 _OTHER_CHOLESKY = ("cho_factor", "cho_solve", "potrs")
 
 
-def _potrf_calls(path: Path):
-    """(line number, source line) of every call in path whose callee names potrf."""
+def _factorization_calls(path: Path):
+    """(enclosing function, line number, source line) of every call in path
+    whose callee names potrf or pftrf; the function is None at module level."""
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and "potrf" in ast.unparse(node.func):
-            yield node.lineno, lines[node.lineno - 1].strip()
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and any(
+            routine in ast.unparse(node.func) for routine in ("potrf", "pftrf")
+        ):
+            found.append((function, node.lineno, lines[node.lineno - 1].strip()))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
 
 
 def _other_cholesky_uses(path: Path):
@@ -122,14 +135,37 @@ def _other_cholesky_uses(path: Path):
 
 
 def test_one_cholesky_solve():
-    # linalg._cholesky_solve is the package's one Cholesky solve
-    assert len(list(_potrf_calls(_SRC / "linalg.py"))) == 1
+    # linalg._cholesky_solve is the package's one Cholesky solve: it makes
+    # every factorization call, one dpotrf and one spftrf
+    calls = [
+        (path.name, function, line)
+        for path in sorted(_SRC.glob("*.py"))
+        for function, _, line in _factorization_calls(path)
+    ]
+    assert len(calls) == 2
+    assert {(name, function) for name, function, _ in calls} == {("linalg.py", "_cholesky_solve")}
     offenders = [
         f"{path.name}:{lineno}: {line}"
         for path in sorted(_SRC.glob("*.py"))
         for lineno, line in _other_cholesky_uses(path)
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "snippet, function",
+    [("c = lapack.spftrf(n, a)", None), ("c = lapack.dpotrf(a)", None),
+     ("def helper(n, a):\n    return lapack.spftrf(n, a)", "helper"),
+     ("def _cholesky_solve(n, a):\n    return getattr(lapack, 'spotrf')(a)", "_cholesky_solve")],
+    ids=["spftrf", "dpotrf", "spftrf-in-helper", "potrf-by-name"],
+)
+def test_factorization_guard_sees_every_call(tmp_path, snippet, function):
+    # a stray packed factorization outside _cholesky_solve is caught, with
+    # the function it sits in
+    path = tmp_path / "mod.py"
+    path.write_text(f"{snippet}\n")
+    ((found, _, line),) = _factorization_calls(path)
+    assert found == function and line == snippet.splitlines()[-1].strip()
 
 
 @pytest.mark.parametrize(
