@@ -15,16 +15,17 @@ Piecewise targets rebuild the expansion inside each grid cell (origin
 shifted to the cell, eigenvalues scaled by cell width) with a rough
 exponent on a designated exceptional set of cells; continuity across cell
 boundaries is deliberately not enforced. Both kinds share one construction
-(``_expansion``), one basis evaluation (``_series``) and one source-norm
-sum (``_source_sum``). A Sobolev target is the width-1 expansion, and a
-cell of width w holds the width-1 expansion of its smoothness r and norm
-scaled by w^r, which has the same source norm on the cell.
-``_series`` sums the sine series as a polynomial in z = exp(i pi t), split
-into baby steps of _BABY terms whose inner sums are one BLAS product per
-block of points, and giant steps by Horner's rule in z^_BABY. Evaluating a
-target at N points with K terms takes O(N K / _BABY) vector work, O(N)
-memory and two transcendentals per point, and each point's value is
-bitwise the same whatever batch it arrives in.
+(``_expansion``), one basis evaluation (``_taylor_table`` and
+``_taylor_eval``) and one source-norm sum (``_source_sum``). A Sobolev
+target is the width-1 expansion, and a cell of width w holds the width-1
+expansion of its smoothness r and norm scaled by w^r, which has the same
+source norm on the cell.
+Each target tabulates its sine series when built: Taylor coefficients of
+degree _DEGREE at the points g/G of a uniform grid, one real FFT per degree,
+with G fixed by the number of terms. A point is then one table lookup and a
+short real Horner sum, O(1) work and memory per point whatever the number of
+terms, and each point's value is bitwise the same whatever batch it arrives
+in. Targets take points in the kernel's domain [0, 1] only.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ from .theory import ModelParams, _exponent, lambda_schedule
 COEFF_SLACK = 0.51  # extra k^{-slack} decay so the defining series converges strictly
 DEFAULT_K_TRUNC = 200
 _TAIL_TERMS = 200_000
-_BABY = 16  # terms per inner sum of _series
-_CHUNK = 2048  # points per block of _series: its buffers stay near 1 MB
-_ALIGN = 8  # blocks are padded to this many points; see _series
+_DEGREE = 9  # Taylor degree of a target's table; see _taylor_table
 
 # The kernel of the Mercer pair below and its capacity: mu_k ~ k^{-2}.
 KERNEL = brownian()
@@ -94,46 +93,49 @@ def _expansion(r: float, R: float, k_trunc: int):
     return scale * raw, float(math.sqrt(2.0) * scale * np.sum(profile[k_trunc:]))
 
 
-def _series(coeffs: np.ndarray, t) -> np.ndarray:
-    """sum_k c_k sqrt(2) sin((k - 1/2) pi t) at local coordinates t.
+def _taylor_table(coeffs: np.ndarray) -> np.ndarray:
+    """Taylor table of f(t) = sum_k c_k sqrt(2) sin(w_k t), w_k = (k - 1/2) pi.
 
-    With z = exp(i pi t) the sum is sqrt(2) Im(exp(i pi t / 2) sum_{k<K}
-    c_{k+1} z^k). Writing k = a B + b (B = _BABY), each block of points
-    fills the baby steps exp(i pi t / 2) z^b for b < B by B - 1 in-place
-    multiplies, forms every inner sum P_a = sum_b c_{aB+b+1} exp(i pi t / 2)
-    z^b with one dgemm on the block's real view (the coefficients are real,
-    so one product serves both parts), and runs Horner's rule over a in
-    w = z^B. That is about B + 2K/B vector operations per point, and memory
-    is O(N) whatever K is. Blocks are padded to a multiple of _ALIGN points,
-    which keeps gemm off its edge kernels, so a point's value does not
-    depend on the batch it arrives in.
+    Row p, column g holds f^(p)(g/G) / p! for g = 0..G, where G is the power
+    of two at or above 16 K. Since f^(p)(t) = sqrt(2) Im(i^p sum_k c_k w_k^p
+    exp(i w_k t)) and w_k g/G = 2 pi (2k - 1) g / (4G), row p is one real FFT
+    of length 4G with c_k w_k^p at index 2k - 1, so every phase is exact.
+    A point lies within 1/(2G) of the grid, where w_K/(2G) <= pi/32, so the
+    remainder of the degree-_DEGREE expansion is below 2e-17 sqrt(2) sum |c_k|.
     """
-    t = np.asarray(t, dtype=float)
-    n = t.shape[0]
-    giant = -(-coeffs.shape[0] // _BABY)
-    cmat = np.zeros((giant, _BABY))
-    cmat.flat[: coeffs.shape[0]] = math.sqrt(2.0) * coeffs
-    out = np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - lo)
-        pad = -(-m // _ALIGN) * _ALIGN
-        half = np.zeros(pad)
-        half[:m] = t[lo:lo + m]
-        half *= 0.5 * math.pi
-        baby = np.empty((_BABY, pad), dtype=complex)
-        np.cos(half, out=baby[0].real)
-        np.sin(half, out=baby[0].imag)
-        z = baby[0] * baby[0]
-        for b in range(1, _BABY):
-            np.multiply(baby[b - 1], z, out=baby[b])
-        w = np.multiply(baby[-1], baby[0], out=z)
-        inner = blas.dgemm(1.0, baby.view(float).T, cmat.T).T.view(complex)
-        acc = inner[-1]
-        for a in range(giant - 2, -1, -1):
-            acc *= w
-            acc += inner[a]
-        out[lo:lo + m] = acc.imag[:m]
-    return out
+    k_trunc = coeffs.shape[0]
+    grid = 1 << (16 * k_trunc - 1).bit_length()
+    omega = (np.arange(1, k_trunc + 1) - 0.5) * np.pi
+    term = math.sqrt(2.0) * coeffs  # sqrt(2) c_k w_k^p / p!
+    buf = np.zeros(4 * grid)
+    table = np.empty((_DEGREE + 1, grid + 1))
+    for p in range(_DEGREE + 1):
+        buf[1:2 * k_trunc:2] = term
+        # rfft gives the conjugate of sum_k term_k exp(i w_k g/G)
+        spec = np.fft.rfft(buf)[: grid + 1]
+        part = spec.imag if p % 2 == 0 else spec.real
+        np.multiply(part, (-1.0, 1.0, 1.0, -1.0)[p % 4], out=table[p])
+        term = term * omega / (p + 1)
+    return table
+
+
+def _taylor_eval(table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The tabled function at local coordinates t in [0, 1].
+
+    Each point takes the nearest grid point g/G, clipped into the table, and
+    sums the row values at g in the offset t - g/G by Horner's rule. The
+    offset is exact: G is a power of two and g/G is within a factor 2 of t.
+    """
+    grid = table.shape[1] - 1
+    node = np.rint(t * grid)
+    np.clip(node, 0, grid, out=node)
+    delta = t - node / grid
+    idx = node.astype(np.intp)
+    acc = table[-1].take(idx)
+    for row in table[-2::-1]:
+        acc *= delta
+        acc += row.take(idx)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,8 @@ class SobolevTarget:
 
     def __post_init__(self):
         _check_source_sums([self.source_sum()], [self.R])
+        # derived, not a field: dataclasses.replace rebuilds it
+        object.__setattr__(self, "_table", _taylor_table(self.coefficients))
 
     @property
     def k_trunc(self) -> int:
@@ -157,7 +161,9 @@ class SobolevTarget:
         return _source_sum(self.coefficients, self.r)
 
     def __call__(self, x):
-        return _series(self.coefficients, kernels._as_points(x, 1)[:, 0])
+        pts = kernels._as_points(x, 1)
+        kernels._check_in_box(pts, KERNEL.domain)
+        return _taylor_eval(self._table, pts[:, 0])
 
 
 def make_sobolev_target(
@@ -196,6 +202,14 @@ class PiecewiseTarget:
     def __post_init__(self):
         norms = [self.R_l if j in self.exceptional else self.R_h for j in range(self.cells)]
         _check_source_sums(self.source_sums(), norms)
+        # one table per distinct coefficient array; derived, not a field
+        tables, cell_tables = {}, []
+        for coeffs in self.cell_coefficients:
+            key = coeffs.tobytes()
+            if key not in tables:
+                tables[key] = _taylor_table(coeffs)
+            cell_tables.append(tables[key])
+        object.__setattr__(self, "_tables", tuple(cell_tables))
 
     @property
     def k_trunc(self) -> int:
@@ -229,10 +243,10 @@ class PiecewiseTarget:
         xs = kernels._as_points(x, 1)[:, 0]
         _, index_sets = partition_mod._group(self.partition, xs)
         out = np.zeros(xs.shape[0])
-        for j, (coeffs, ix) in enumerate(zip(self.cell_coefficients, index_sets)):
+        for j, (table, ix) in enumerate(zip(self._tables, index_sets)):
             if ix.size:
                 (lo, hi), = grid_cell_bounds(self.partition, j)
-                out[ix] = _series(coeffs, (xs[ix] - lo) / (hi - lo))
+                out[ix] = _taylor_eval(table, (xs[ix] - lo) / (hi - lo))
         return out
 
 

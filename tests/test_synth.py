@@ -9,15 +9,18 @@ import pytest
 
 from krlslab import (
     ContractError,
+    DomainError,
     EmptyInputError,
     NoiseSpec,
     SyntheticTask,
+    assign,
     brownian,
     build_grid_partition,
     cellwise_mse,
     fit_krls,
     fit_localized,
     gen_inputs,
+    grid_cell_bounds,
     lambda_schedule,
     make_piecewise_target,
     make_sobolev_target,
@@ -66,19 +69,65 @@ def _direct_series(coeffs, t):
 @pytest.mark.parametrize("k_trunc", [1, 7, 200, 1000, 2000])
 @pytest.mark.parametrize("r", [0.1, 0.25, 0.5])
 def test_clenshaw_series_matches_sine_matrix(r, k_trunc):
-    # _series against the N x K sine matrix, up to 2000 terms
+    # a target's Taylor table against the N x K sine matrix, up to 2000 terms
     rng = np.random.default_rng(16)
     t = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 1001), rng.random(1000)])
-    coeffs = make_sobolev_target(r, 1.0, k_trunc).coefficients
-    want = _direct_series(coeffs, t)
-    got = synth._series(coeffs, t)
-    assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+    target = make_sobolev_target(r, 1.0, k_trunc)
+    want = _direct_series(target.coefficients, t)
+    assert np.abs(target(t) - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+
+
+def test_table_matches_sine_matrix_at_rounding_level():
+    # the acceptance target at the acceptance test size
+    task = sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.15), marginal=("uniform", 0.9, 1.0))
+    xs = gen_inputs(task, 20000, 0)
+    want = _direct_series(task.target.coefficients, xs)
+    assert np.abs(task.target(xs) - want).max() <= 2e-15 * (1.0 + np.abs(want).max())
+
+
+@pytest.mark.parametrize("k_trunc", [1, 7, 200, 2000])
+def test_table_remainder_is_below_rounding(k_trunc):
+    # a point lies within 1/(2G) of its grid point, so the Taylor remainder
+    # is at most x^(P+1)/(P+1)! of sqrt(2) sum |c_k|, x = w_K/(2G)
+    table = synth._taylor_table(make_sobolev_target(0.5, 1.0, k_trunc).coefficients)
+    degree, grid = table.shape[0] - 1, table.shape[1] - 1
+    x = (k_trunc - 0.5) * math.pi / (2 * grid)
+    assert x ** (degree + 1) / math.factorial(degree + 1) <= 2.0**-53
 
 
 def test_series_at_zero_and_on_no_points():
-    coeffs = make_sobolev_target(0.5, 1.0).coefficients
-    assert synth._series(coeffs, np.array([0.0]))[0] == 0.0
-    assert synth._series(coeffs, np.zeros(0)).shape == (0,)
+    target = make_sobolev_target(0.5, 1.0)
+    assert target(np.array([0.0]))[0] == 0.0
+    assert synth._taylor_eval(synth._taylor_table(target.coefficients), np.zeros(0)).shape == (0,)
+
+
+def test_replaced_targets_rebuild_their_tables():
+    # a target's table is derived from its coefficients, so doubling them
+    # (and the norm) doubles every value, exactly
+    xs = np.linspace(0.0, 1.0, 101)
+    sob = make_sobolev_target(0.5, 1.0)
+    doubled = dataclasses.replace(sob, R=2.0, coefficients=2.0 * sob.coefficients)
+    assert np.array_equal(doubled(xs), 2.0 * sob(xs))
+    pw = piecewise_task(0.1, 0.5, 0.25, 1.0, 4, {1}, NoiseSpec("gaussian", 0.1)).target
+    doubled = dataclasses.replace(pw, R_l=0.5, R_h=2.0,
+                                  cell_coefficients=tuple(2.0 * c for c in pw.cell_coefficients))
+    assert np.array_equal(doubled(xs), 2.0 * pw(xs))
+
+
+@pytest.mark.parametrize("cells", [16, 12])
+def test_piecewise_cell_boundaries_match_sine_matrix(cells):
+    # every boundary and its neighbouring doubles, each against the sine
+    # matrix of the cell it is assigned to; 12 cells have inexact widths
+    part = build_grid_partition((0.0, 1.0), cells)
+    target = make_piecewise_target(0.1, 0.5, 0.25, 1.0, part, {cells // 2})
+    edges = np.linspace(0.0, 1.0, cells + 1)
+    xs = np.concatenate([np.nextafter(edges, -1.0), edges, np.nextafter(edges, 2.0)])
+    xs = np.clip(xs, 0.0, 1.0)
+    got = target(xs)
+    for x, value, j in zip(xs, got, assign(part, xs)):
+        (lo, hi), = grid_cell_bounds(part, j)
+        want = _direct_series(target.cell_coefficients[j], np.array([(x - lo) / (hi - lo)]))[0]
+        assert abs(value - want) <= 2e-15 * (1.0 + abs(want)), (x, j)
 
 
 @pytest.mark.parametrize(
@@ -91,8 +140,8 @@ def test_series_at_zero_and_on_no_points():
 )
 def test_target_value_is_independent_of_its_batch(task):
     # a point's value is the same alone, in any sub-batch, or in the full
-    # batch, on both sides of the block size of _series; batches of fewer
-    # than 97 points are sampled every 97 points
+    # batch, as every step of the table evaluation is elementwise; batches
+    # of fewer than 97 points are sampled every 97 points
     xs = gen_inputs(task, 20000, 21)
     full = task.target(xs)
     for size in (1, 7, 8, 2047, 2048, 2049, 20000):
@@ -104,7 +153,7 @@ def test_target_value_is_independent_of_its_batch(task):
 
 def test_target_evaluation_memory_is_linear_in_points():
     # the acceptance target at the acceptance test size: 20000 points and
-    # 200 terms, whose sine matrix alone would take 32 MB
+    # 200 terms; the bound rules out any N x K work array (32 MB here)
     task = sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.15), marginal=("uniform", 0.9, 1.0))
     xs = gen_inputs(task, 20000, 0)
     tracemalloc.start()
@@ -125,6 +174,30 @@ def test_targets_and_labels_read_points_like_kernels():
         np.testing.assert_array_equal(call(x[:, None]), call(x))
         with pytest.raises(ContractError, match="2 coordinates, expected 1"):
             call(np.full((5, 2), 0.3))
+
+
+_SOB_TASK = sobolev_task(0.5, 1.0, NoiseSpec("gaussian", 0.1))
+_PW_TASK = piecewise_task(0.1, 0.5, 0.25, 1.0, 4, {1}, NoiseSpec("gaussian", 0.1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [_SOB_TASK.target, _PW_TASK.target,
+     lambda pts: sample_labels(_SOB_TASK, pts, 3), lambda pts: sample_labels(_PW_TASK, pts, 3)],
+    ids=["sobolev", "piecewise", "sobolev-labels", "piecewise-labels"],
+)
+@pytest.mark.parametrize(
+    "pts, error, message",
+    [([np.nan, 0.5], DomainError, "points must be finite"),
+     ([0.5, np.inf], DomainError, "points must be finite"),
+     ([1.5, -0.2], DomainError, r"leaves \[0.0, 1.0\]"),
+     ([0.2, -1e-300], DomainError, r"leaves \[0.0, 1.0\]"),
+     (np.zeros(0), EmptyInputError, "at least one point")],
+    ids=["nan", "inf", "outside", "just-below-zero", "empty"],
+)
+def test_targets_and_labels_take_only_points_in_the_domain(call, pts, error, message):
+    with pytest.raises(error, match=message):
+        call(pts)
 
 
 def test_sobolev_coefficient_profile():
