@@ -26,7 +26,9 @@ float64 against ``_min_expansion``, by blocked triangular solves on the
 packed factor, until it matches the float64 solve to rounding. If the
 float32 factorization fails or the refinement stalls, the float32 Gram is
 freed and the fit solves in float64 through the same function, as every
-other fit does.
+other fit does. ``_min_solve`` makes that choice, and the whitened
+brownian Nystrom system (``nystrom._min_nystrom_solve``) goes through it
+too, written by the same ``_packed_min_gram32``.
 """
 
 from __future__ import annotations
@@ -183,19 +185,21 @@ def fit_krls(x, y, lam: float, spec: KernelSpec) -> KrlsModel:
     lam = kernels._real(lam, "lam")
     pts, y = kernels._as_data(x, y, spec.dim)
     shift = lam * y.shape[0]
-    alpha = None
+
+    def dense():
+        return linalg._spd_solve(lambda: kernels.gram(spec, pts), shift, y)
+
     # Other families have no exact float64 product cheaper than a Gram.
-    if spec.family == "brownian" and pts.shape[0] >= _FLOAT32_MIN_N:
-        alpha = _refined_min_solve(spec, pts, shift, y)
-    if alpha is None:
-        alpha = linalg._spd_solve(lambda: kernels.gram(spec, pts), shift, y)
+    if spec.family == "brownian":
+        alpha = _min_solve(lambda: _min_gram_system(spec, pts), shift, y, dense)
+    else:
+        alpha = dense()
     return KrlsModel(inputs=pts, alpha=alpha, lam=lam, kernel=spec)
 
 
-def _refined_min_solve(spec: KernelSpec, pts: np.ndarray, shift: float, y: np.ndarray):
-    """alpha of a min-kernel fit from a float32 Gram refined in float64, or
-    None if ``linalg._cholesky_solve`` fails; the float32 Gram is freed on
-    return either way."""
+def _min_gram_system(spec: KernelSpec, pts: np.ndarray):
+    """The min-kernel Gram K of pts in float32 RFP storage, and v -> K v by
+    prefix sums in float64."""
     kernels._check_in_box(pts, spec.domain)
     t = pts[:, 0]
     order = np.argsort(t, kind="stable")
@@ -205,17 +209,40 @@ def _refined_min_solve(spec: KernelSpec, pts: np.ndarray, shift: float, y: np.nd
     def apply(v):  # K v, as _min_expansion(t, t, v) with the sort and lookup done once
         return _sorted_min_expansion(t, k, sorted_t, v[order])
 
-    try:
-        return linalg._cholesky_solve(_packed_min_gram32(t), shift, y, apply)
-    except np.linalg.LinAlgError:
-        return None
+    return _packed_min_gram32(np.minimum, t, t, t), apply
 
 
-def _packed_min_gram32(t: np.ndarray) -> np.ndarray:
-    """The min-kernel Gram A of t in float32, in Rectangular Full Packed
-    storage with TRANSR = 'T' and UPLO = 'L' (Gustavson et al., ACM TOMS
-    37(2), 2010), as LAPACK's spftrf reads it. Rounding is monotone, so the
-    min of the rounded points is the rounded float64 Gram, entry for entry.
+def _min_solve(system, shift: float, b: np.ndarray, dense):
+    """x of (A + shift * I) x = b for a brownian system A, entrywise
+    nonnegative, of order b.shape[0]: ``fit_krls``'s Gram or the whitened
+    Nystrom matrix.
+
+    From ``_FLOAT32_MIN_N`` on, system() returns A in float32 RFP storage
+    (``_packed_min_gram32``) and v -> A v exact in float64, and
+    ``linalg._cholesky_solve`` factors the one and refines against the
+    other. Below that size, or when that solve fails, dense() solves in
+    float64, once the float32 matrix is freed.
+    """
+    if b.shape[0] >= _FLOAT32_MIN_N:
+        packed, apply = system()
+        try:
+            return linalg._cholesky_solve(packed, shift, b, apply)
+        except np.linalg.LinAlgError:
+            del packed  # the traceback holds it until this clause ends
+    return dense()
+
+
+def _packed_min_gram32(op, u: np.ndarray, v: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """The symmetric matrix A with A[i, j] = op(u[i], v[j]) below its
+    diagonal and diag on it, in float32 Rectangular Full Packed storage with
+    TRANSR = 'T' and UPLO = 'L' (Gustavson et al., ACM TOMS 37(2), 2010), as
+    LAPACK's spftrf reads it. op is a commutative ufunc with op(0, x) = 0 for
+    every x >= 0 in u and v, evaluated on the float32 roundings of u and v.
+
+    Both brownian systems are written here: ``fit_krls``'s Gram is
+    (np.minimum, t, t, t), and since rounding is monotone, that is the
+    rounded float64 Gram entry for entry; ``nystrom._min_nystrom_solve``'s
+    whitened matrix is (np.multiply, g, s, h).
 
     For an even order m = 2h the result R is C-ordered, of shape (m + 1, h):
     R[h + 1:] is the dense block A[h:, :h], the lower triangle of R[1:h + 1]
@@ -223,31 +250,34 @@ def _packed_min_gram32(t: np.ndarray) -> np.ndarray:
     A[h:, h:]. That is m (m + 1) / 2 entries and no n x n temporary. An odd
     n is padded to m = n + 1 by one decoupled point: a last row and column
     of zeros with 1 on the diagonal, so that a zero right-hand side entry
-    there solves to exactly 0. The zeros are the min of a padded point at 0
-    and t, which lies in [0, 1]. The odd RFP layout is not used, because its
-    trailing triangle is a strided block that scipy's BLAS would copy on
-    every triangular solve.
+    there solves to exactly 0. The zeros are op of a padded 0 in u and v.
+    The odd RFP layout is not used, because its trailing triangle is a
+    strided block that scipy's BLAS would copy on every triangular solve.
     """
-    n = t.shape[0]
+    n = u.shape[0]
     h = (n + 1) // 2
-    # p is a 0, then the points padded by a point at 0 to even order, so
-    # A[i - 1, j] = min(p[i], left[j]) for every i >= 1 and j < h.
+    # p is a 0, then u padded by a 0 to even order, and q is v padded the
+    # same way, so that A[i - 1, j] = op(p[i], q[j]) below the diagonal
     p = np.zeros(2 * h + 1, dtype=np.float32)
-    p[1:n + 1] = t
-    left, right = p[1:h + 1], p[h + 1:]
+    p[1:n + 1] = u
+    q = np.zeros(2 * h, dtype=np.float32)
+    q[:n] = v
+    left = q[:h]
     r = np.empty((2 * h + 1, h), dtype=np.float32)
     # R[h] is A[h - 1, :h] and R[h + 1:] is A[h:, :h]: all from the left half
-    np.minimum(p[h:, None], left[None, :], out=r[h:])
-    # Row i < h of R holds A[h + i, h + j] for j >= i and A[i - 1, j] for
+    op(p[h:, None], left[None, :], out=r[h:])
+    # Row i < h of R holds A[h + j, h + i] for j >= i and A[i - 1, j] for
     # j < i: the first goes everywhere in one call, then the second over it
     # band by band. At n = 512 on a 2-core VM that took 113 us, and four
     # calls per band that wrote each entry once 138 us.
-    np.minimum.outer(right, right, out=r[:h])
+    op.outer(q[h:], p[h + 1:], out=r[:h])
     for i in range(0, h, _BAND):
         j = min(i + _BAND, h)
-        np.minimum(p[i:j, None], left[None, :i], out=r[i:j, :i])
-        np.minimum(p[i:j, None], left[None, i:j], out=r[i:j, i:j],
-                   where=_STRICT_LOWER[: j - i, : j - i])
-    if 2 * h > n:  # the padded point is 0, so its row and column are 0
-        r[h - 1, h - 1] = 1.0
+        op(p[i:j, None], left[None, :i], out=r[i:j, :i])
+        op(p[i:j, None], left[None, i:j], out=r[i:j, i:j], where=_STRICT_LOWER[: j - i, : j - i])
+    # the diagonals of A[:h, :h] and A[h:, h:], the padded point's 1 last
+    d = np.ones(2 * h, dtype=np.float32)
+    d[:n] = diag
+    r[1:h + 1].reshape(-1)[:: h + 1] = d[:h]
+    r[:h].reshape(-1)[:: h + 1] = d[h:]
     return r

@@ -24,13 +24,15 @@ caller hands it. Gram-based fits, symmetric by construction, skip the
 symmetry check through the private ``_spd_solve`` and hand it a function
 that builds the matrix, so that a dense fit holds one n x n buffer and the
 jitter retry factors a rebuilt Gram; the public ``spd_solve`` factors a
-copy. Brownian fits hand it a packed float32 Gram with a prefix-sum
-product. Only a float32 factor is refined in float64, as LAPACK's dsposv
-does (Buttari et al., IJHPCA 2007); when that fails, the caller frees it
-and solves in float64, so a fit never holds more than that solve would.
+copy. Brownian fits, KRLS and whitened Nystrom alike, hand it a packed
+float32 matrix with an exact float64 product (``krls._min_solve``). Only
+a float32 factor is refined in float64, as LAPACK's dsposv does (Buttari
+et al., IJHPCA 2007); when that fails, the caller frees it and solves in
+float64, so a fit never holds more than that solve would.
 
-Nystrom fits solve by ``_psd_solve``, which falls back to ``_pinv_solve``,
-the public ``pinv_solve`` less its checks; both read an upper triangle only.
+Nystrom fits of every family but the brownian one solve their normal
+equations by ``_psd_solve``, which falls back to ``_pinv_solve``, the
+public ``pinv_solve`` less its checks; both read an upper triangle only.
 
 Every LAPACK call of the package is made here.
 """

@@ -2,24 +2,36 @@
 
 Restricts the KRLS search space to the span of l landmark points drawn
 uniformly without replacement from the training inputs. The coefficients
-solve the explicit normal equations
+solve the normal equations
 
     (K_nl^T K_nl + n * lam * K_ll) alpha = K_nl^T y
 
-For the min kernel both sides have a closed form in prefix sums over the
-sorted inputs (see ``_min_nystrom_solve``): O(n log n + l^2) time and
-O(n + l^2) memory, with no cross-Gram at all, and an O(l) product checks
-the solution. For other kernels they are accumulated in place by scipy's
+which square the condition number of the least-squares problem.
+
+For the min kernel, K_ll's Cholesky factor L has a closed form, so the fit
+solves in coordinates whitened by it, (W^T W + n * lam * I) beta = W^T y
+with W = K_nl L^-T and alpha = L^-T beta, as in "Less is More" (Rudi,
+Camoriano and Rosasco, NeurIPS 2015) and FALKON (arXiv:1705.10958); see
+``_min_nystrom_solve``. W^T W has a closed form in per-point offsets
+summed per landmark step, so building it costs O(n log l + l^2) time and
+O(n + l^2) memory, with no cross-Gram, no trsm and no eigh. Its condition
+number is at most 1 + 1 / lam, so it takes the solve of a brownian KRLS
+Gram (``krls._min_solve``): packed in float32 and refined in float64
+against an O(l) product from ``krls._FLOAT32_MIN_N`` landmarks on, a
+float64 Cholesky of its upper triangle below that. Its shift keeps it
+positive definite, duplicate landmarks included, so it has no fallback.
+
+For other kernels the normal equations are accumulated in place by scipy's
 syrk and gemv over row blocks of K_nl of the size ``krls._row_blocks``
 gives, so the n x l cross-Gram is never stored whole: the fit holds one
-block at a time, and no block adds an l x l matrix, for O(n l^2) time; a
-symv on the matrix itself checks the solution.
-Either way only the upper triangle is written, and ``linalg._psd_solve``
-factors it by a dense O(l^3) Cholesky or, when factorization or the
-residual check fails, solves by an eigenvalue-truncated pseudo-inverse of
-the same triangle, so rank-deficient landmark sets (duplicate coordinates,
-l near the numerical rank) stay well defined. It is never mirrored, and its
-symmetry, exact by construction, is never re-checked.
+block at a time, and no block adds an l x l matrix, for O(n l^2) time.
+Only the upper triangle is written, and ``linalg._psd_solve`` factors it
+by a dense O(l^3) Cholesky, checked by a symv on the matrix itself, or,
+when factorization or the residual check fails, solves by an
+eigenvalue-truncated pseudo-inverse of the same triangle, so
+rank-deficient landmark sets (duplicate coordinates, l near the numerical
+rank) stay well defined. It is never mirrored, and its symmetry, exact by
+construction, is never re-checked.
 """
 
 from __future__ import annotations
@@ -84,11 +96,14 @@ def fit_nystrom(x, y, lam: float, l: int, seed, spec: KernelSpec) -> NystromMode
 
     With l = n and a numerically positive definite Gram this reproduces the
     full KRLS solution, since the search spaces coincide. A min-kernel fit
-    builds the upper triangle of its normal equations from prefix sums in
-    O(n log n + l^2) time, factors it in O(l^3) and checks the solution
-    against an O(l) product; they agree with the blocked syrk build to
-    rounding, not bit for bit. Other kernels stream K_nl in row blocks in
-    O(n l^2) time.
+    solves in coordinates whitened by K_ll's closed-form Cholesky factor:
+    it builds that system in O(n log l + l^2) time, factors it in O(l^3),
+    in float32 with float64 refinement from ``krls._FLOAT32_MIN_N``
+    landmarks on, and checks the solution against an O(l) product. Through
+    the factor it is the normal equations, so the two agree to rounding,
+    and with a duplicate landmark it predicts as their pseudo-inverse does.
+    Other kernels stream K_nl in row blocks in O(n l^2) time and solve the
+    normal equations themselves.
     """
     lam = kernels._real(lam, "lam")
     pts, y = kernels._as_data(x, y, spec.dim)
@@ -136,63 +151,74 @@ def _blocked_normal_equations(spec: KernelSpec, pts: np.ndarray, y: np.ndarray,
 
 def _min_nystrom_solve(t: np.ndarray, y: np.ndarray, z: np.ndarray, shift: float):
     """alpha of a min-kernel Nystrom fit on inputs t with landmarks z, in
-    z's order.
+    z's order, solved in coordinates whitened by K_ll's closed-form
+    Cholesky factor.
 
-    The normal equations are built for the landmarks in ascending order,
-    solved, and alpha scattered back. With the inputs sorted, N(s) =
-    #{t_i <= s}, S1(s) = sum_{t_i <= s} t_i and S2(s) = sum_{t_i <= s} t_i^2,
-    entry a <= c of b is
+    With the landmarks ascending, z_0 = 0, steps delta_c = z_c - z_{c-1}
+    and s_c = sqrt(delta_c), min(z_a, z_c) sums delta_j over j <= min(a, c),
+    so K_ll = L L^T with L = E diag(s), E the lower triangle of ones. Then
+    W = K_nl L^-T has entries W_ic = clip(t_i - z_{c-1}, 0, delta_c) / s_c:
+    s_c for each landmark at or below t_i, the offset of t_i past the last
+    of them over s there, and 0 beyond. The normal equations become
 
-        S2(z_a) + z_a (S1(z_c) - S1(z_a) + z_c (n - N(z_c))) + shift * z_a,
+        (W^T W + shift * I) beta = W^T y,   alpha = L^-T beta,
 
-    since sum_i min(t_i, z_a) min(t_i, z_c) splits at z_a and z_c. That is
-    z_a u_c + v_a, with u_c = S1(z_c) + z_c (n - N(z_c)) and v_a =
-    S2(z_a) - z_a S1(z_a) + shift * z_a, so one dger over a broadcast of v
-    writes the upper triangle. The same split gives b x in O(l) for
-    ``linalg._psd_solve``, which factors that triangle in float64 and
-    checks the residual against it. rhs is ``krls._sorted_min_expansion``
-    with inputs and landmarks swapped, on the same sort. After the
-    O(n log n) sort, b costs O(l^2) and its Cholesky factor O(l^3). The
-    solve consumes b, so the fallback builds it again.
+    so alpha_c = beta_c / s_c - beta_{c+1} / s_{c+1}. M = W^T W has
+    M_ac = s_a g_c for a < c, with g_c the sum of column c of W, and the
+    column's sum of squares h_c on its diagonal; every entry is >= 0, and
+    M x takes two cumulative sums. Its largest eigenvalue is at most
+    trace K_nn <= n on [0, 1], so the condition number is at most
+    1 + 1 / lam. The partial entries are formed point by point and summed
+    per step, since prefix sums of t and t^2 would cancel over steps of
+    1e-6. A zero step (a duplicate landmark, or one at 0) has a zero column
+    of W: its s, g, h and rhs entries are 0, so its beta is 0 and the
+    fitted function is that of the pseudo-inverse fit. ``krls._min_solve``
+    solves M + shift * I as it solves a brownian KRLS Gram. Building M costs
+    O(n log l + l^2) and factoring it O(l^3).
     """
-    n = t.shape[0]
-    landmark_order = np.argsort(z, kind="stable")
-    z = z[landmark_order]
-    order = np.argsort(t, kind="stable")
-    t, y = t[order], y[order]
-    k = np.searchsorted(t, z, side="right")
-    rhs = krls._sorted_min_expansion(z, k, t, y)
-    s1 = np.concatenate(([0.0], np.cumsum(t)))[k]
-    s2 = np.concatenate(([0.0], np.cumsum(t * t)))[k]
-    u = s1 + z * (n - k)
-    v = s2 - z * s1 + shift * z
     l = z.shape[0]
+    landmark_order = np.argsort(z, kind="stable")
+    z0 = np.concatenate(([0.0], z[landmark_order]))  # z_0 = 0, then z ascending
+    delta = z0[1:] - z0[:-1]
+    s = np.sqrt(delta)
+    # 1 / s, and 0 on a zero step and past the last landmark
+    inv_s = np.zeros(l + 1)
+    np.divide(1.0, s, out=inv_s[:l], where=delta > 0)
+    # k_i landmarks lie at or below t_i: row i of W holds s in the columns
+    # before k_i and its one partial entry, w_i, in column k_i
+    k = np.searchsorted(z0[1:], t, side="right")
+    w = (t - z0[k]) * inv_s[k]
+
+    def per_step(weights):  # the sum over the points with each k
+        return np.bincount(k, weights, minlength=l + 1)
+
+    def beyond(sums):  # the sum over the points with k > c, for each column c
+        return sums[:0:-1].cumsum()[::-1]
+
+    full = beyond(per_step(None))  # rows holding s_c in column c
+    g = s * full + per_step(w)[:l]
+    h = delta * full + per_step(w * w)[:l]
+    rhs = s * beyond(per_step(y)) + per_step(w * y)[:l]
 
     def upper():
-        # b[a, c] = v_a, C-ordered; dger adds u z^T to its Fortran-ordered
-        # transpose in place, so z_a u_c + v_a is right on and above the
-        # diagonal
-        b = np.repeat(v, l).reshape(l, l)
-        blas.dger(1.0, u, z, a=b.T, overwrite_a=1)
+        # s_a g_c in every entry, then h on the diagonal: dgemm writes the
+        # outer product g s^T Fortran-ordered, so its transpose is C-ordered.
+        # At l = 223 on a 2-core VM that took 36 us, np.multiply.outer 70 us.
+        b = blas.dgemm(1.0, g[:, None], s[None, :]).T
+        b.reshape(-1)[:: l + 1] = h
         return b
 
-    # (b x)_a = z_a sum_{c >= a} u_c x_c + v_a sum_{c >= a} x_c
-    #         + u_a sum_{c < a} z_c x_c + sum_{c < a} v_c x_c
-    terms = np.array((u, np.ones(l), z, v))
-    weights = terms[[2, 3, 0, 1]]
-
     def apply(x):
-        # the first two rows summed from the right, inclusive; the last two
-        # from the left, exclusive
-        products = terms * x
-        sums = np.empty_like(products)
-        products[:2, ::-1].cumsum(axis=1, out=sums[:2, ::-1])
-        sums[2:, 0] = 0.0
-        products[2:, :-1].cumsum(axis=1, out=sums[2:, 1:])
-        sums *= weights
-        return sums.sum(axis=0)
+        # (M x)_a = g_a sum_{c < a} s_c x_c + h_a x_a + s_a sum_{c > a} g_c x_c
+        out = h * x
+        out[1:] += g[1:] * (s[:-1] * x[:-1]).cumsum()
+        out[:-1] += s[:-1] * (g[:0:-1] * x[:0:-1]).cumsum()[::-1]
+        return out
 
-    alpha = linalg._psd_solve(upper, rhs, apply)
-    out = np.empty_like(alpha)
-    out[landmark_order] = alpha
-    return out
+    beta = krls._min_solve(lambda: (krls._packed_min_gram32(np.multiply, g, s, h), apply),
+                           shift, rhs, lambda: linalg._cholesky_solve(upper(), shift, rhs, apply))
+    q = beta * inv_s[:l]
+    q[:-1] -= q[1:]
+    alpha = np.empty_like(q)
+    alpha[landmark_order] = q
+    return alpha

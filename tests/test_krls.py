@@ -392,7 +392,7 @@ def test_refined_products_match_min_expansion_bitwise(n, monkeypatch):
     monkeypatch.setattr(linalg, "_cholesky_solve", checking)
     model = fit_krls(x, y, lam, brownian())
     assert len(products) >= 2
-    reference = real(krls._packed_min_gram32(x), lam * n, y,
+    reference = real(krls._packed_min_gram32(np.minimum, x, x, x), lam * n, y,
                      lambda v: krls._min_expansion(x, x, v))
     np.testing.assert_array_equal(model.alpha, reference)
 
@@ -426,7 +426,7 @@ def _packed_reference(x):
 @pytest.mark.parametrize("n", [144, 145, 1024, 1025, 2048, 2049])
 def test_packed_gram_matches_strttf(n):
     x = np.random.default_rng(n).uniform(0, 1, n)
-    k32 = krls._packed_min_gram32(x)
+    k32 = krls._packed_min_gram32(np.minimum, x, x, x)
     assert k32.dtype == np.float32 and k32.flags.c_contiguous
     np.testing.assert_array_equal(k32, _packed_reference(x))
 

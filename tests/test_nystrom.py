@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from krlslab import (
     ContractError,
@@ -85,8 +85,9 @@ def test_zero_labels_zero_alpha():
 
 
 def test_duplicate_coordinates_stay_solvable():
-    # duplicated coordinates make K_ll rank-deficient; truncation keeps the
-    # normal equations satisfied on the numeric range
+    # duplicated coordinates make K_ll rank-deficient; the whitened solve
+    # gives a duplicate's zero column of W a zero coefficient, which keeps
+    # the normal equations satisfied
     x = np.array([0.2, 0.2, 0.2, 0.5, 0.8, 0.8, 0.35, 0.65])
     rng = np.random.default_rng(10)
     y = rng.standard_normal(len(x))
@@ -295,6 +296,12 @@ def _symmetric(b):
     return np.triu(b) + np.triu(b, 1).T
 
 
+def _sorted_factor(z):
+    """The closed-form Cholesky factor L = E diag(s) of the min-kernel Gram
+    of the ascending points z, K_ll = L L^T."""
+    return np.tril(np.ones((z.size, z.size))) * np.sqrt(np.diff(z, prepend=0.0))
+
+
 def _outcome(solve, *args):
     """What solve(*args) returns, or the message of the LinAlgError it raises."""
     try:
@@ -328,17 +335,22 @@ def test_min_normal_equations_match_blocked_build(case, monkeypatch):
     draw = model.landmarks[:, 0]
     if l > 1:
         assert not np.all(np.diff(draw) >= 0)  # the draw is unsorted
-    # the closed form is solved in ascending landmark order, from the upper
-    # triangle of b alone
+    # the whitened system is solved in ascending landmark order, from the
+    # upper triangle of b alone; through K_ll's closed-form Cholesky factor
+    # L it is the blocked normal equations: L (M + shift I) L^T = b_ref and
+    # L rhs = rhs_ref
     order = np.argsort(draw, kind="stable")
     b_ref, rhs_ref = nystrom._blocked_normal_equations(
         spec, x[:, None], y, model.landmarks[order], n * lam
     )
-    assert shift == 0.0
-    assert np.abs(np.triu(b - b_ref)).max() <= 1e-13 * np.abs(b_ref).max()
-    assert np.abs(rhs - rhs_ref).max() <= 1e-13 * np.abs(rhs_ref).max()
-    # nothing below the diagonal is read: NaN there changes no bit of alpha,
-    # nor the error that sends a singular system to the pseudo-inverse
+    assert shift == n * lam
+    factor = _sorted_factor(draw[order])
+    system = _symmetric(b) + shift * np.eye(l)
+    gap = np.abs(np.triu(factor @ system @ factor.T - b_ref)).max()
+    assert gap <= 1e-13 * np.abs(b_ref).max()
+    assert np.abs(factor @ rhs - rhs_ref).max() <= 1e-13 * np.abs(rhs_ref).max()
+    # nothing below the diagonal is read: NaN there changes no bit of the
+    # float64 solve
     b_nan = b.copy()
     b_nan[np.tri(l, k=-1, dtype=bool)] = np.nan
     again = _outcome(real_solve, b_nan, shift, rhs, apply)
@@ -346,17 +358,165 @@ def test_min_normal_equations_match_blocked_build(case, monkeypatch):
         assert again == outcome
     else:
         np.testing.assert_array_equal(again, outcome)
-        np.testing.assert_array_equal(model.alpha[order], outcome)
-    # the O(l) product is b_ref's
+        # alpha = L^-T beta
+        gap = np.abs(factor.T @ model.alpha[order] - outcome).max()
+        assert gap <= 1e-13 * np.abs(outcome).max()
+    # the O(l) product is M's
     v = np.random.default_rng(25).standard_normal(l)
-    gap = np.abs(apply(v) - _symmetric(b_ref) @ v).max()
-    assert gap <= 1e-13 * np.abs(b_ref).max() * np.abs(v).max()
+    gap = np.abs(apply(v) - _symmetric(b) @ v).max()
+    assert gap <= 1e-13 * np.abs(b).max() * np.abs(v).max()
     # alpha comes back in draw order: it solves the draw-ordered system
     b_draw, rhs_draw = nystrom._blocked_normal_equations(
         spec, x[:, None], y, model.landmarks, n * lam
     )
     residual = _symmetric(b_draw) @ model.alpha - rhs_draw
     assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs_draw)
+
+
+@pytest.mark.parametrize("lam, bound", [(1e-9, 1e-7), (1e-6, 1e-10)])
+def test_min_nystrom_predictions_match_stacked_qr(lam, bound):
+    # The normal equations square the condition number; the whitened solve
+    # keeps the predictions of a QR solve of the stacked least-squares
+    # problem [K_nl; sqrt(n lam) L^T] alpha ~ [y; 0] at small lam.
+    rng = np.random.default_rng(27)
+    n, l = 2000, 600
+    x = rng.uniform(0, 1, n)
+    y = np.sin(6 * x) + 0.15 * rng.standard_normal(n)
+    model = fit_nystrom(x, y, lam, l, seed=8, spec=brownian())
+    z = np.sort(model.landmarks[:, 0])
+    stacked = np.vstack((np.minimum.outer(x, z), np.sqrt(n * lam) * _sorted_factor(z).T))
+    q, r = np.linalg.qr(stacked)
+    alpha = scipy.linalg.solve_triangular(r, q[:n].T @ y)
+    xt = rng.uniform(0, 1, 1000)
+    assert np.abs(model.predict(xt) - np.minimum.outer(xt, z) @ alpha).max() <= bound
+
+
+def _zero_step_case(name):
+    """x, y, l and lam of a fit whose sorted landmarks have a zero step."""
+    if name == "duplicates":
+        return _duplicates()
+    rng = np.random.default_rng(28)
+    if name == "landmark_at_zero":
+        x = np.concatenate(([0.0], rng.uniform(0, 1, 11)))
+        return x, np.sin(6 * x) + rng.standard_normal(12), 12, 1e-3
+    x = rng.uniform(0, 1, 60)
+    return x, np.sin(6 * x), 1, 1e-2
+
+
+@pytest.mark.parametrize("case", ["duplicates", "landmark_at_zero", "one_landmark"])
+def test_min_nystrom_zero_steps_match_pseudo_inverse_fit(case, monkeypatch):
+    # a duplicate landmark, or one at 0, makes K_ll singular: its column of
+    # W is zero and its beta 0, so the fit predicts as the pseudo-inverse of
+    # the normal equations does, without either fallback solve; so does the
+    # smallest system, one landmark
+    x, y, l, lam = _zero_step_case(case)
+    rng = np.random.default_rng(29)
+    seed = 3
+    landmarks = x[sample_landmarks(x.size, l, seed), None]
+    b, rhs = nystrom._blocked_normal_equations(brownian(), x[:, None], y, landmarks,
+                                               x.size * lam)
+    reference = linalg.pinv_solve(_symmetric(b), rhs)
+
+    def refused(*args):
+        raise AssertionError("a fallback solve was called")
+
+    monkeypatch.setattr(linalg, "_psd_solve", refused)
+    monkeypatch.setattr(linalg, "_pinv_solve", refused)
+    model = fit_nystrom(x, y, lam, l, seed=seed, spec=brownian())
+    xt = rng.uniform(0, 1, 200)
+    expected = np.minimum.outer(xt, landmarks[:, 0]) @ reference
+    assert np.abs(model.predict(xt) - expected).max() <= 1e-10
+
+
+def test_min_nystrom_cell_refines_a_float32_factor(monkeypatch):
+    # a cell like the localized Nystrom benchmark's: 540 points in a cell
+    # of width 1/640 on [0.9, 1], 512 landmarks, lam = 1/64. The whitened
+    # system factors in float32 and refines in at most 3 corrections.
+    rng = np.random.default_rng(30)
+    n, l = 540, 512
+    x = rng.uniform(0.95, 0.95 + 1 / 640, n)
+    y = np.sin(6 * x) + 0.15 * rng.standard_normal(n)
+    solves, factors = [], []
+    real_solve, real_triangular = linalg._cholesky_solve, linalg._triangular_solve
+
+    def recording_solve(k, *args):
+        solves.append(k.dtype)
+        return real_solve(k, *args)
+
+    def counting_triangular(factor, b):
+        factors.append(factor.dtype)
+        return real_triangular(factor, b)
+
+    monkeypatch.setattr(linalg, "_cholesky_solve", recording_solve)
+    monkeypatch.setattr(linalg, "_triangular_solve", counting_triangular)
+    model = fit_nystrom(x, y, 1 / 64, l, seed=9, spec=brownian())
+    assert l >= krls._FLOAT32_MIN_N
+    assert solves == [np.float32]
+    assert set(factors) == {np.dtype(np.float32)} and len(factors) - 1 <= 3
+    b, rhs = nystrom._blocked_normal_equations(brownian(), x[:, None], y, model.landmarks,
+                                               n / 64)
+    residual = _symmetric(b) @ model.alpha - rhs
+    assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
+
+
+def test_whitened_fit_falls_back_to_float64_bitwise(monkeypatch):
+    # no natural draw was found on which the float32 whitened solve fails,
+    # so the failure is injected: the fit then solves the float64 upper
+    # triangle, bit for bit as a fit below the crossover does
+    rng = np.random.default_rng(32)
+    n, l = 1024, 480
+    x = rng.uniform(0.9, 1.0, n)
+    y = np.sin(6 * x) + 0.15 * rng.standard_normal(n)
+    real = linalg._cholesky_solve
+    attempts = []
+
+    def failing_float32(k, *args):
+        attempts.append(k.dtype)
+        if k.dtype == np.float32:
+            raise np.linalg.LinAlgError("spftrf failed")
+        return real(k, *args)
+
+    monkeypatch.setattr(linalg, "_cholesky_solve", failing_float32)
+    model = fit_nystrom(x, y, n ** -0.4, l, seed=11, spec=brownian())
+    assert attempts == [np.float32, np.float64]
+    monkeypatch.setattr(linalg, "_cholesky_solve", real)
+    monkeypatch.setattr(krls, "_FLOAT32_MIN_N", l + 1)
+    expected = fit_nystrom(x, y, n ** -0.4, l, seed=11, spec=brownian())
+    np.testing.assert_array_equal(model.alpha, expected.alpha)
+
+
+@pytest.mark.parametrize("l", [448, 449])
+def test_whitened_system_packs_and_solves_like_its_upper_triangle(l, monkeypatch):
+    # the float32 whitened matrix comes from the RFP writer of the KRLS
+    # Gram: it holds M rounded to float32, padded at odd l by a decoupled
+    # point, and its refined solve gives the float64 solve's beta to rounding
+    rng = np.random.default_rng(31)
+    n = 1024
+    x = rng.uniform(0.9, 1.0, n)
+    y = np.sin(6 * x) + 0.15 * rng.standard_normal(n)
+    systems = []
+    real = krls._min_solve
+
+    def capturing(system, shift, b, dense):
+        systems.append((system, shift, b.copy(), dense))
+        return real(system, shift, b, dense)
+
+    monkeypatch.setattr(krls, "_min_solve", capturing)
+    fit_nystrom(x, y, n ** -0.4, l, seed=10, spec=brownian())
+    (system, shift, rhs, dense), = systems
+    packed, apply = system()
+    m = l + l % 2
+    assert packed.dtype == np.float32 and packed.shape == (m + 1, m // 2)
+    full, info = lapack.stfttr(m, packed.reshape(-1), transr="T", uplo="L")
+    assert info == 0
+    whitened = np.column_stack([apply(e) for e in np.eye(l)])  # exact products
+    lower = np.tril(full[:l, :l]).astype(float)
+    assert np.all(np.abs(lower - np.tril(whitened)) <= 2.0**-22 * np.abs(np.tril(whitened)))
+    if m > l:
+        assert not full[l, :l].any() and full[l, l] == 1.0
+    beta = linalg._cholesky_solve(packed, shift, rhs, apply)
+    expected = dense()
+    assert np.linalg.norm(beta - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_min_kernel_fit_solves_without_mirror_or_cho(monkeypatch):
@@ -476,9 +636,14 @@ def test_pinv_fallback_only_for_rank_deficient_landmarks(monkeypatch):
     x = rng.uniform(0, 1, 200)
     fit_nystrom(x, rng.standard_normal(200), 1e-3, 40, seed=2, spec=brownian())
     assert calls == []
-    # duplicated landmarks make the normal equations singular
+    # duplicated landmarks make the normal equations singular; a brownian
+    # fit solves the whitened system instead, which its shift keeps
+    # positive definite, and a gaussian one falls back
     x = np.array([0.2, 0.2, 0.2, 0.5, 0.8, 0.8, 0.35, 0.65])
-    fit_nystrom(x, rng.standard_normal(8), 1e-3, 8, seed=3, spec=brownian())
+    y = rng.standard_normal(8)
+    fit_nystrom(x, y, 1e-3, 8, seed=3, spec=brownian())
+    assert calls == []
+    fit_nystrom(x, y, 1e-3, 8, seed=3, spec=gaussian(0.2))
     assert calls == [8]
 
 
@@ -526,7 +691,7 @@ def _distinct(n=200):
     "spec, case, falls_back",
     [
         (brownian(), lambda: _distinct() + (40, 1e-3), False),
-        (brownian(), _duplicates, True),
+        (brownian(), _duplicates, False),  # the whitened system needs no fallback
         (gaussian(0.2), lambda: _distinct() + (5, 1e-3), False),
         (gaussian(0.2), lambda: _distinct() + (40, 1e-3), True),
     ],
@@ -534,7 +699,8 @@ def _distinct(n=200):
 )
 def test_nystrom_fits_never_recheck_symmetry(spec, case, falls_back, localized, monkeypatch):
     # the normal equations are symmetric by construction: neither the
-    # Cholesky solve nor its fallback checks them again
+    # Cholesky solve nor its fallback checks them again. Brownian duplicates
+    # no longer reach the fallback; the gaussian cases still do.
     def refused(*args):
         raise AssertionError("_require_symmetric")
 

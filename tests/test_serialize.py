@@ -299,12 +299,13 @@ def _without_nulls(record):
     return record
 
 
-# Records whose fit has since moved by rounding. The min-kernel Nystrom
-# normal equations are now summed by prefix sums, not by syrk, and solved
-# by a refined Cholesky solve: the fresh alphas differ from the recorded
-# ones by up to 8.1e-15 relative. Every float64 Cholesky solve now runs two
-# triangular solves in place of LAPACK's potrs, which moves the alphas of
-# the other dense fits by about 1 ulp.
+# Records whose fit has since moved by rounding. A min-kernel Nystrom fit
+# now solves the system whitened by K_ll's closed-form Cholesky factor, not
+# the normal equations that syrk summed: the fresh alphas of the localized
+# Nystrom record differ from the recorded ones by up to 5.8e-15 relative.
+# Every float64 Cholesky solve now runs two triangular solves in place of
+# LAPACK's potrs, which moves the alphas of the other dense fits by about
+# 1 ulp.
 _FORMAT1_ROUNDED = {"krls", "localized_nystrom", "nystrom", "voronoi_empty_cell"}
 
 
